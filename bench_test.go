@@ -152,8 +152,7 @@ func BenchmarkAblationVariants(b *testing.B) {
 func BenchmarkAblationREDMaxProb(b *testing.B) {
 	for _, maxP := range []float64{0.02, 0.1, 0.5} {
 		b.Run(fmt.Sprintf("maxp%.2f", maxP), func(b *testing.B) {
-			cfg := core.DefaultConfig(60, core.Reno, core.RED)
-			cfg.REDMaxProb = maxP
+			cfg := core.DefaultConfig(60, core.Reno, core.GatewayQueue(fmt.Sprintf("red?maxprob=%g", maxP)))
 			res := runBench(b, cfg)
 			b.ReportMetric(res.COV, "cov")
 			b.ReportMetric(float64(res.Delivered), "delivered_pkts")
@@ -184,8 +183,7 @@ func BenchmarkAblationGentleRED(b *testing.B) {
 			name = "gentle"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := core.DefaultConfig(60, core.Reno, core.RED)
-			cfg.REDGentle = gentle
+			cfg := core.DefaultConfig(60, core.Reno, core.GatewayQueue(fmt.Sprintf("red?gentle=%t", gentle)))
 			res := runBench(b, cfg)
 			b.ReportMetric(res.COV, "cov")
 			b.ReportMetric(res.LossPct, "loss_pct")
@@ -202,8 +200,7 @@ func BenchmarkAblationECN(b *testing.B) {
 			name = "mark"
 		}
 		b.Run(name, func(b *testing.B) {
-			cfg := core.DefaultConfig(50, core.Reno, core.RED)
-			cfg.REDECN = ecn
+			cfg := core.DefaultConfig(50, core.Reno, core.GatewayQueue(fmt.Sprintf("red?ecn=%t", ecn)))
 			res := runBench(b, cfg)
 			b.ReportMetric(res.COV, "cov")
 			b.ReportMetric(res.LossPct, "loss_pct")
@@ -514,13 +511,7 @@ func BenchmarkAQMDisciplines(b *testing.B) {
 	for _, spec := range []string{"fifo", "codel", "pie"} {
 		for _, n := range []int{2_000, 5_000} {
 			b.Run(fmt.Sprintf("%s/N=%d", spec, n), func(b *testing.B) {
-				cfg := core.DefaultConfig(n, core.Reno, core.FIFO)
-				s, err := queue.ParseSpec(spec)
-				if err != nil {
-					b.Fatalf("ParseSpec: %v", err)
-				}
-				cfg.Gateway = 0
-				cfg.Queue = &s
+				cfg := core.DefaultConfig(n, core.Reno, core.GatewayQueue(spec))
 				cfg.Duration = 2 * time.Second
 				var total uint64
 				b.ResetTimer()

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"tcpburst/internal/core"
+	"tcpburst/internal/queue"
 	"tcpburst/internal/runcache"
 	"tcpburst/internal/runner"
 	"tcpburst/internal/telemetry"
@@ -176,9 +177,10 @@ func writeTable1(w io.Writer, base core.Config) {
 		cfg.BufferPackets, cfg.PacketSize, cfg.MaxWindow)
 	fmt.Fprintf(w, "- Poisson 1/λ = %s per client; RTT window %s\n",
 		cfg.MeanInterval, cfg.RTT())
+	red, _, _ := queue.REDSettings(queue.Spec{Name: "red"})
 	fmt.Fprintf(w, "- Vegas α/β/γ %g/%g/%g; RED %g/%g w=%g max_p=%g\n\n",
 		cfg.Vegas.Alpha, cfg.Vegas.Beta, cfg.Vegas.Gamma,
-		cfg.REDMinThreshold, cfg.REDMaxThreshold, cfg.REDWeight, cfg.REDMaxProb)
+		red.MinThreshold, red.MaxThreshold, red.Weight, red.MaxProb)
 }
 
 func writeSweepSection(w io.Writer, sweep *core.Sweep) {

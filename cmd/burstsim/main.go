@@ -5,6 +5,7 @@
 // Usage:
 //
 //	burstsim -clients 39 -proto reno -queue fifo -duration 200s
+//	burstsim -clients 39 -queue 'red?min=5&max=15&ecn=true'
 //	burstsim -clients 39 -cache -stats     # reuse/store the result on disk
 //	burstsim -backend fluid -clients 1000000 -mean-interval 286.7s
 //
@@ -48,7 +49,7 @@ func run(w io.Writer, args []string) error {
 	var (
 		clients  = fs.Int("clients", 20, "number of Poisson client streams")
 		proto    = fs.String("proto", "reno", "transport protocol: udp, reno, reno-delayack, vegas, tahoe, newreno, sack")
-		qdisc    = fs.String("queue", "fifo", "gateway discipline spec: fifo, red, drr, codel, pie, tokenbucket, leakybucket — with ?key=value params, e.g. codel?target=5ms&interval=100ms")
+		qdisc    = fs.String("queue", "fifo", "gateway discipline spec: fifo, red, drr, codel, pie, tokenbucket, leakybucket — with ?key=value params, e.g. red?min=5&max=15 or codel?target=5ms&interval=100ms")
 		backend  = fs.String("backend", "packet", "execution engine: packet (event-level simulation) or fluid (mean-field model)")
 		shards   = fs.Int("shards", 1, "partition the packet simulation over this many cores (results are bit-identical to -shards 1)")
 		seed     = fs.Int64("seed", 1, "random seed (identical seeds replay identically)")
@@ -59,10 +60,6 @@ func run(w io.Writer, args []string) error {
 		minRTO   = fs.Duration("minrto", 0, "minimum TCP retransmission timeout (0 = default)")
 		wireLoss = fs.Float64("wireloss", 0, "random loss probability on the bottleneck wire")
 		revRate  = fs.Float64("revrate", 0, "reverse (ACK) path rate in bps (0 = bottleneck rate)")
-		redMin   = fs.Float64("redmin", 0, "RED min threshold (0 = default)")
-		redMax   = fs.Float64("redmax", 0, "RED max threshold (0 = default)")
-		redW     = fs.Float64("redw", 0, "RED EWMA weight (0 = default)")
-		redMaxP  = fs.Float64("redmaxp", 0, "RED max drop probability (0 = default)")
 		cache    = fs.Bool("cache", false, "reuse/store the result in the persistent cache")
 		cacheDir = fs.String("cache-dir", "", "result cache directory (default ~/.cache/tcpburst)")
 		stats    = fs.Bool("stats", false, "print run telemetry on stderr when done")
@@ -114,8 +111,6 @@ func run(w io.Writer, args []string) error {
 		core.WithWireLoss(*wireLoss),
 		core.WithReverseRate(*revRate),
 		core.WithShards(*shards),
-		// Zero-valued RED knobs fall back to the paper defaults.
-		core.WithRED(*redMin, *redMax, *redW, *redMaxP),
 	}
 	if *minRTO > 0 {
 		opts = append(opts, core.WithMinRTO(*minRTO))
@@ -197,7 +192,7 @@ func run(w io.Writer, args []string) error {
 func printResult(w io.Writer, res *core.Result, perFlow bool) {
 	cfg := res.Config
 	fmt.Fprintf(w, "experiment: %d clients, %s, %s gateway, %s (%s)\n",
-		cfg.Clients, cfg.Protocol, cfg.QueueName(), cfg.Duration, cfg.CongestionLevel())
+		cfg.Clients, cfg.Protocol, cfg.Gateway, cfg.Duration, cfg.CongestionLevel())
 	fmt.Fprintf(w, "  offered load        %.2f Mbps of %.2f Mbps bottleneck\n",
 		cfg.OfferedLoadBps()/1e6, cfg.BottleneckRateBps/1e6)
 	fmt.Fprintf(w, "  c.o.v. (measured)   %.4f\n", res.COV)

@@ -40,8 +40,8 @@ func TestRunPerFlowBreakdown(t *testing.T) {
 func TestRunREDOverrides(t *testing.T) {
 	var sb strings.Builder
 	err := run(&sb, []string{
-		"-clients", "5", "-duration", "2s", "-queue", "red",
-		"-redmin", "5", "-redmax", "20", "-redw", "0.01", "-redmaxp", "0.2",
+		"-clients", "5", "-duration", "2s",
+		"-queue", "red?min=5&max=20&weight=0.01&maxprob=0.2",
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)

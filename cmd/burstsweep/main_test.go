@@ -35,11 +35,11 @@ func TestSweepCells(t *testing.T) {
 	if len(cells) != 3 {
 		t.Fatalf("got %d cells, want 3: %v", len(cells), cells)
 	}
-	if cells[1].Queue != "codel?target=2ms" || cells[1].Protocol.String() != "reno" {
+	if cells[1].Gateway != "codel?target=2ms" || cells[1].Protocol.String() != "reno" {
 		t.Errorf("cell 1 = %+v", cells[1])
 	}
-	if cells[0].Gateway != 0 {
-		t.Errorf("spec cells must leave the enum zero: %+v", cells[0])
+	if cells[0].Gateway != "fifo" {
+		t.Errorf("cell 0 = %+v, want the fifo spec", cells[0])
 	}
 }
 

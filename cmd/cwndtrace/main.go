@@ -180,7 +180,7 @@ func parseClientList(s string) ([]int, error) {
 func printSummary(res *core.Result) {
 	const bucket = 20.0 // seconds
 	fmt.Printf("%d clients, %s/%s: cwnd stability per %gs interval\n",
-		res.Config.Clients, res.Config.Protocol, res.Config.QueueName(), bucket)
+		res.Config.Clients, res.Config.Protocol, res.Config.Gateway, bucket)
 	for _, s := range res.CwndTraces {
 		fmt.Printf("  %s:\n", s.Name)
 		i := 0

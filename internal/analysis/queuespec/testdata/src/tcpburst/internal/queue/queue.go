@@ -35,9 +35,9 @@ func install() {
 	Register("sneaky", nil) // want `queue\.Register outside an init function`
 }
 
-// Lower is the sanctioned name-dispatch site: inside the registry package
+// Label is a sanctioned name-dispatch site: inside the registry package
 // the switch is fine.
-func Lower(s Spec) (string, bool) {
+func Label(s Spec) (string, bool) {
 	switch s.Name {
 	case "fifo", "red", "drr":
 		return s.Name, true

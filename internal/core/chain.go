@@ -62,12 +62,10 @@ func (c ChainConfig) withDefaults() ChainConfig {
 	if c.Protocol == 0 {
 		c.Protocol = Reno
 	}
-	if c.Gateway == 0 {
-		c.Gateway = FIFO
-	}
 	c.Base.Protocol = c.Protocol
 	c.Base.Gateway = c.Gateway
 	c.Base = c.Base.WithDefaults()
+	c.Gateway = c.Base.Gateway
 	if c.Seed == 0 {
 		c.Seed = c.Base.Seed
 	}

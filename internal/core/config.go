@@ -97,50 +97,32 @@ func ParseProtocol(s string) (Protocol, error) {
 	return 0, fmt.Errorf("unknown protocol %q", s)
 }
 
-// GatewayQueue selects the bottleneck queueing discipline.
-//
-// Deprecated: the enum covers only the original three disciplines. New code
-// should carry a queue.Spec (Config.Queue, WithGatewayDiscipline); the enum
-// remains as the lowered form of the three legacy disciplines, which is what
-// keeps their JSON encodings — and therefore golden digests and cache keys —
-// byte-identical to the pre-registry era.
-type GatewayQueue int
+// GatewayQueue is the bottleneck queueing discipline, held as the canonical
+// text of its queue.Spec: "fifo", "red?ecn=true", "codel?target=5ms". The
+// empty string means fifo. WithDefaults canonicalizes the text (parameters
+// sorted by key), so two spellings of one discipline configure — and cache
+// — identically; Validate builds it against the registry.
+type GatewayQueue string
 
-// Queueing disciplines at the gateway. FIFO and RED are the paper's; DRR
-// (deficit-round-robin fair queueing) extends the study to the scheduling
-// question the paper's introduction raises.
+// The paper's disciplines, FIFO and RED, plus DRR (deficit-round-robin fair
+// queueing), which extends the study to the scheduling question the paper's
+// introduction raises. Every other registered discipline is spec text such
+// as GatewayQueue("codel?target=5ms").
 const (
-	FIFO GatewayQueue = iota + 1
-	RED
-	DRR
+	FIFO GatewayQueue = "fifo"
+	RED  GatewayQueue = "red"
+	DRR  GatewayQueue = "drr"
 )
 
-// String returns the discipline name.
-func (q GatewayQueue) String() string {
-	switch q {
-	case FIFO:
-		return "fifo"
-	case RED:
-		return "red"
-	case DRR:
-		return "drr"
-	default:
-		return fmt.Sprintf("queue(%d)", int(q))
-	}
-}
+// String returns the discipline's spec text.
+func (q GatewayQueue) String() string { return string(q) }
 
-// ParseGatewayQueue converts a discipline name back to a GatewayQueue.
-func ParseGatewayQueue(s string) (GatewayQueue, error) {
-	switch s {
-	case "fifo":
-		return FIFO, nil
-	case "red":
-		return RED, nil
-	case "drr":
-		return DRR, nil
-	default:
-		return 0, fmt.Errorf("unknown gateway queue %q", s)
-	}
+// spec parses the discipline text for code working from a validated
+// Config. Validate rejects text that does not parse, so the error is
+// dropped here: unparsable text yields the zero Spec, which builds nothing.
+func (q GatewayQueue) spec() queue.Spec {
+	s, _ := queue.ParseSpec(string(q))
+	return s
 }
 
 // Config fully describes one experiment. DefaultConfig returns the paper's
@@ -197,18 +179,9 @@ type Config struct {
 	// block sizes (WithDefaults fills it in when left zero), and
 	// Protocol is ignored except as the label of the run.
 	Mix []MixEntry
-	// Gateway is the bottleneck queueing discipline in its deprecated enum
-	// form. WithDefaults lowers any Queue spec naming a legacy discipline
-	// (fifo/red/drr) into this field, so a legacy config and its spec
-	// spelling encode — and cache — identically.
+	// Gateway is the bottleneck queueing discipline as registry spec text
+	// (see GatewayQueue).
 	Gateway GatewayQueue
-	// Queue selects the bottleneck discipline by registry spec — the
-	// extensible replacement for Gateway. When it survives WithDefaults
-	// (i.e. it names a discipline outside the legacy enum, such as
-	// "codel?target=5ms"), the gateway queue is built through
-	// queue.Build and Gateway stays zero. Omitted from JSON when nil so
-	// legacy encodings, golden digests, and cache keys are unchanged.
-	Queue *queue.Spec `json:",omitempty"`
 	// Seed drives every random stream in the experiment; identical
 	// configurations replay identically.
 	Seed int64
@@ -257,19 +230,6 @@ type Config struct {
 	// for TrafficParetoOnOff. The in-burst packet interval is derived so
 	// the long-run mean rate still equals 1/MeanInterval.
 	MeanOnTime, MeanOffTime sim.Duration
-
-	// REDMinThreshold / REDMaxThreshold / REDWeight / REDMaxProb
-	// parameterize the RED gateway (paper: 10 / 40; Floyd–Jacobson
-	// weight 0.002; ns-era default max drop probability 0.1).
-	REDMinThreshold float64
-	REDMaxThreshold float64
-	REDWeight       float64
-	REDMaxProb      float64
-	// REDECN switches RED from dropping to ECN marking (extension).
-	REDECN bool
-	// REDGentle enables Floyd's gentle-RED ramp above the max threshold
-	// (extension).
-	REDGentle bool
 
 	// WireLossProb, when positive, drops each packet serialized onto the
 	// bottleneck link with this probability — random, non-congestive loss
@@ -371,10 +331,6 @@ func DefaultConfig(n int, p Protocol, q GatewayQueue) Config {
 		ParetoShape:         1.5,
 		MeanOnTime:          100 * time.Millisecond,
 		MeanOffTime:         200 * time.Millisecond,
-		REDMinThreshold:     10,
-		REDMaxThreshold:     40,
-		REDWeight:           0.002,
-		REDMaxProb:          0.1,
 		Vegas:               tcp.DefaultVegasParams(),
 		MinRTO:              200 * time.Millisecond,
 		DelayedAckTimeout:   100 * time.Millisecond,
@@ -392,44 +348,13 @@ func (c Config) WithDefaults() Config {
 	if len(c.Mix) > 0 && c.Protocol == 0 {
 		c.Protocol = c.Mix[0].Protocol
 	}
-	if c.Queue != nil && c.Gateway == 0 {
-		// Canonicalize: a spec naming a legacy discipline lowers onto the
-		// deprecated enum + flat RED fields, so "red?ecn=true" and the old
-		// WithGateway(RED)+WithREDECN() spelling produce byte-identical
-		// configs (and cache keys). Specs outside the legacy vocabulary
-		// keep the Queue field and run through the registry.
-		if l, ok := c.Queue.Lower(); ok {
-			switch l.Kind {
-			case "fifo":
-				c.Gateway = FIFO
-			case "drr":
-				c.Gateway = DRR
-			case "red":
-				c.Gateway = RED
-				if l.Min > 0 {
-					c.REDMinThreshold = l.Min
-				}
-				if l.Max > 0 {
-					c.REDMaxThreshold = l.Max
-				}
-				if l.Weight > 0 {
-					c.REDWeight = l.Weight
-				}
-				if l.MaxProb > 0 {
-					c.REDMaxProb = l.MaxProb
-				}
-				if l.ECN {
-					c.REDECN = true
-				}
-				if l.Gentle {
-					c.REDGentle = true
-				}
-			}
-			c.Queue = nil
-		}
-	}
-	if c.Gateway == 0 && c.Queue == nil {
+	if c.Gateway == "" {
 		c.Gateway = FIFO
+	} else if spec, err := queue.ParseSpec(string(c.Gateway)); err == nil {
+		// Canonicalize: "red?min=5&gentle=true" and "red?gentle=true&min=5"
+		// configure — and cache — identically. Text that does not parse is
+		// left for Validate to report.
+		c.Gateway = GatewayQueue(spec.String())
 	}
 	d := DefaultConfig(c.Clients, c.Protocol, c.Gateway)
 	if c.Seed == 0 {
@@ -480,18 +405,6 @@ func (c Config) WithDefaults() Config {
 	if c.MeanOffTime == 0 {
 		c.MeanOffTime = d.MeanOffTime
 	}
-	if c.REDMinThreshold == 0 { //burst:floateq-ok zero means unset; take the default
-		c.REDMinThreshold = d.REDMinThreshold
-	}
-	if c.REDMaxThreshold == 0 { //burst:floateq-ok zero means unset; take the default
-		c.REDMaxThreshold = d.REDMaxThreshold
-	}
-	if c.REDWeight == 0 { //burst:floateq-ok zero means unset; take the default
-		c.REDWeight = d.REDWeight
-	}
-	if c.REDMaxProb == 0 { //burst:floateq-ok zero means unset; take the default
-		c.REDMaxProb = d.REDMaxProb
-	}
 	if c.Vegas == (tcp.VegasParams{}) {
 		c.Vegas = d.Vegas
 	}
@@ -513,10 +426,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: clients %d < 1", c.Clients)
 	case c.Protocol < UDP || c.Protocol > Sack:
 		return fmt.Errorf("config: unknown protocol %d", int(c.Protocol))
-	case c.Queue != nil && c.Gateway != 0:
-		return fmt.Errorf("config: both Gateway (%v) and Queue (%v) set; pick one discipline", c.Gateway, c.Queue)
-	case c.Queue == nil && (c.Gateway < FIFO || c.Gateway > DRR):
-		return fmt.Errorf("config: unknown gateway queue %d", int(c.Gateway))
 	case c.Duration <= 0:
 		return fmt.Errorf("config: duration %v <= 0", c.Duration)
 	case c.Warmup < 0 || c.Warmup >= c.Duration:
@@ -581,10 +490,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("config: cwnd/queue tracing samples cross-shard state; run tracing with shards=1")
 		}
 	}
-	if c.Queue != nil {
-		if err := c.validateQueueSpec(); err != nil {
-			return err
-		}
+	if err := c.validateGateway(); err != nil {
+		return err
 	}
 	if c.Backend == FluidBackend {
 		if err := c.validateFluid(); err != nil {
@@ -594,12 +501,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// validateQueueSpec scratch-builds the configured discipline so an unknown
+// validateGateway scratch-builds the configured discipline so an unknown
 // name or bad parameter fails at configuration time with the registry's
 // self-explaining error instead of deep inside Run. The scratch build uses
 // a throwaway RNG; the real run forks the experiment's seeded stream.
-func (c Config) validateQueueSpec() error {
-	_, err := queue.Build(*c.Queue, queue.BuildContext{
+func (c Config) validateGateway() error {
+	spec, err := queue.ParseSpec(string(c.Gateway))
+	if err != nil {
+		return fmt.Errorf("config: %w", err)
+	}
+	_, err = queue.Build(spec, queue.BuildContext{
 		Capacity:       c.BufferPackets,
 		PacketSize:     c.PacketSize,
 		MeanPacketTime: sim.SerializationDelay(c.PacketSize, c.BottleneckRateBps),
@@ -608,14 +519,11 @@ func (c Config) validateQueueSpec() error {
 	return err
 }
 
-// QueueName returns the canonical discipline label of the run: the spec's
-// canonical string for registry-built disciplines ("codel?target=5ms"),
-// the enum name ("fifo", "red", "drr") otherwise.
+// QueueName returns the discipline's summary label: the bare name for the
+// paper's disciplines ("fifo", "red", "drr"), the canonical spec text
+// otherwise ("codel?target=5ms").
 func (c Config) QueueName() string {
-	if c.Queue != nil {
-		return c.Queue.String()
-	}
-	return c.Gateway.String()
+	return c.Gateway.spec().Label()
 }
 
 // clientProtocol returns the protocol run by the 0-based client index.
@@ -637,9 +545,6 @@ func (c Config) clientProtocol(i int) Protocol {
 // streams sharing one writer.
 func (c Config) Label() string {
 	cell := Cell{Protocol: c.Protocol, Gateway: c.Gateway}
-	if c.Queue != nil {
-		cell.Queue = c.Queue.String()
-	}
 	return fmt.Sprintf("%s n=%d seed=%d", cell, c.Clients, c.Seed)
 }
 

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tcpburst/internal/queue"
 )
 
 func TestDefaultConfigMatchesTable1(t *testing.T) {
@@ -24,8 +26,8 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 	if cfg.PacketSize != 1000 {
 		t.Errorf("PacketSize = %d, want 1000", cfg.PacketSize)
 	}
-	if cfg.REDMinThreshold != 10 || cfg.REDMaxThreshold != 40 {
-		t.Errorf("RED thresholds %v/%v, want 10/40", cfg.REDMinThreshold, cfg.REDMaxThreshold)
+	if red, _, _ := queue.REDSettings(queue.Spec{Name: "red"}); red.MinThreshold != 10 || red.MaxThreshold != 40 {
+		t.Errorf("RED thresholds %v/%v, want 10/40", red.MinThreshold, red.MaxThreshold)
 	}
 	if cfg.Vegas.Alpha != 1 || cfg.Vegas.Beta != 3 || cfg.Vegas.Gamma != 1 {
 		t.Errorf("Vegas params %+v, want 1/3/1", cfg.Vegas)
@@ -77,7 +79,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}{
 		{"no clients", func(c *Config) { c.Clients = 0 }, "clients"},
 		{"bad protocol", func(c *Config) { c.Protocol = Protocol(99) }, "protocol"},
-		{"bad queue", func(c *Config) { c.Gateway = GatewayQueue(99) }, "queue"},
+		{"bad queue", func(c *Config) { c.Gateway = "bogus" }, "queue"},
 		{"zero duration", func(c *Config) { c.Duration = 0 }, "duration"},
 		{"warmup beyond duration", func(c *Config) { c.Warmup = time.Hour }, "warmup"},
 		{"zero rate", func(c *Config) { c.ClientRateBps = -1 }, "rate"},
@@ -128,13 +130,13 @@ func TestProtocolParsingRoundTrip(t *testing.T) {
 		t.Error("bogus protocol parsed")
 	}
 	for _, q := range []GatewayQueue{FIFO, RED} {
-		got, err := ParseGatewayQueue(q.String())
-		if err != nil || got != q {
-			t.Errorf("ParseGatewayQueue(%q) = %v, %v", q.String(), got, err)
+		opt, err := ParseDiscipline(q.String())
+		if err != nil || BaseConfig(opt).Gateway != q {
+			t.Errorf("ParseDiscipline(%q) = %v, %v", q, BaseConfig(opt).Gateway, err)
 		}
 	}
-	if _, err := ParseGatewayQueue("bogus"); err == nil {
-		t.Error("bogus queue parsed")
+	if _, err := ParseDiscipline("red?"); err == nil {
+		t.Error("malformed queue parsed")
 	}
 }
 

@@ -35,8 +35,8 @@ type ExecOptions struct {
 // Cache-key namespaces. Bump the version suffix when the stored encoding
 // changes incompatibly; old entries simply stop hitting.
 const (
-	resultCacheKindPrefix = "result/v3/"
-	chainCacheKind        = "chain/v2"
+	resultCacheKindPrefix = "result/v4/"
+	chainCacheKind        = "chain/v3"
 )
 
 // resultCacheKind namespaces result digests by execution engine: a packet

@@ -54,7 +54,7 @@ type QueueStats struct {
 	FullFrac float64
 }
 
-// REDStats summarizes the RED gateway's behavior when Gateway == RED.
+// REDStats summarizes the RED gateway's behavior when the gateway runs RED.
 type REDStats struct {
 	EarlyDrops  uint64
 	ForcedDrops uint64
@@ -62,8 +62,8 @@ type REDStats struct {
 	FinalAvg    float64
 }
 
-// AQMStats is the generic discipline counter snapshot for registry-built
-// gateways (Config.Queue runs): control-law drops, buffer-overflow drops,
+// AQMStats is the generic discipline counter snapshot for disciplines
+// beyond the paper's fifo/red/drr: control-law drops, buffer-overflow drops,
 // ECN marks, admission-control sheds, and the discipline's terminal
 // control variable (PIE's drop probability, a bucket's remaining tokens).
 type AQMStats struct {
@@ -140,8 +140,8 @@ type Result struct {
 	PacketLog *trace.PacketLog
 	// RED carries gateway drop/mark detail when the RED discipline ran.
 	RED *REDStats
-	// AQM carries the generic discipline counters when a registry-built
-	// (Config.Queue) gateway ran and the discipline reports stats.
+	// AQM carries the generic discipline counters when a discipline beyond
+	// the paper's fifo/red/drr ran and reports stats.
 	AQM *AQMStats
 
 	// CwndTraces holds per-client congestion-window series when tracing
@@ -512,45 +512,17 @@ func (f *flow) counters() tcp.Counters {
 	return tcp.Counters{DataSent: sent, Submitted: sent}
 }
 
-// buildGatewayQueue constructs the bottleneck discipline. Legacy enum
-// configurations keep their original construction paths — including where
-// in the build sequence the RED path forks the seed stream (1<<20), which
-// is what keeps their replays bit-identical to the pre-registry era.
-// Registry (Config.Queue) runs build through queue.Build with a lazy RNG
-// closure forking the same stream at the same point, so a discipline that
-// draws no randomness leaves every downstream stream untouched.
+// buildGatewayQueue constructs the bottleneck discipline through the
+// registry. The RNG closure forks the seed stream (1<<20) at this point of
+// the build sequence only for disciplines that draw randomness (RED, PIE),
+// so a deterministic discipline leaves every downstream stream untouched.
 func buildGatewayQueue(cfg Config, rng *sim.RNG, tel *telem) (queue.Discipline, error) {
-	if cfg.Queue != nil {
-		return queue.Build(*cfg.Queue, queue.BuildContext{
-			Capacity:       cfg.BufferPackets,
-			PacketSize:     cfg.PacketSize,
-			MeanPacketTime: sim.SerializationDelay(cfg.PacketSize, cfg.BottleneckRateBps),
-			RNG:            func() *sim.RNG { return rng.Fork(1 << 20) },
-			Metrics:        tel.aqm,
-		})
-	}
-	switch cfg.Gateway {
-	case FIFO:
-		return queue.NewFIFO(cfg.BufferPackets), nil
-	case DRR:
-		drr, err := queue.NewDRR(cfg.BufferPackets, cfg.PacketSize)
-		if err != nil {
-			return nil, err
-		}
-		drr.SetEvictionMetric(tel.drrEvictions)
-		return drr, nil
-	}
-	return queue.NewRED(queue.REDConfig{
+	return queue.Build(cfg.Gateway.spec(), queue.BuildContext{
 		Capacity:       cfg.BufferPackets,
-		MinThreshold:   cfg.REDMinThreshold,
-		MaxThreshold:   cfg.REDMaxThreshold,
-		Weight:         cfg.REDWeight,
-		MaxProb:        cfg.REDMaxProb,
+		PacketSize:     cfg.PacketSize,
 		MeanPacketTime: sim.SerializationDelay(cfg.PacketSize, cfg.BottleneckRateBps),
-		ECN:            cfg.REDECN,
-		Gentle:         cfg.REDGentle,
-		RNG:            rng.Fork(1 << 20),
-		Metrics:        tel.red,
+		RNG:            func() *sim.RNG { return rng.Fork(1 << 20) },
+		Metrics:        tel.queue,
 	})
 }
 
@@ -904,9 +876,17 @@ func collect(
 	}
 	res.JainFairness = stats.JainIndex(perFlowDelivered)
 
-	if cfg.Queue != nil {
-		if sr, ok := bottleneckQ.(queue.StatsReporter); ok {
-			st := sr.DisciplineStats()
+	if sr, ok := bottleneckQ.(queue.StatsReporter); ok {
+		st := sr.DisciplineStats()
+		switch cfg.Gateway.spec().Reporting() {
+		case queue.ReportRED:
+			res.RED = &REDStats{
+				EarlyDrops:  st.EarlyDrops,
+				ForcedDrops: st.ForcedDrops,
+				Marks:       st.Marks,
+				FinalAvg:    st.FinalAvg,
+			}
+		case queue.ReportAQM:
 			res.AQM = &AQMStats{
 				EarlyDrops:  st.EarlyDrops,
 				ForcedDrops: st.ForcedDrops,
@@ -914,13 +894,6 @@ func collect(
 				Shed:        st.Shed,
 				FinalAvg:    st.FinalAvg,
 			}
-		}
-	} else if redQ, ok := bottleneckQ.(*queue.RED); ok {
-		res.RED = &REDStats{
-			EarlyDrops:  redQ.EarlyDrops(),
-			ForcedDrops: redQ.ForcedDrops(),
-			Marks:       redQ.Marks(),
-			FinalAvg:    redQ.Average(),
 		}
 	}
 	return res

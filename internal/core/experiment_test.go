@@ -392,7 +392,7 @@ func TestECNExtensionReducesLoss(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	ecn := base
-	ecn.REDECN = true
+	ecn.Gateway = "red?ecn=true"
 	marked, err := Run(ecn)
 	if err != nil {
 		t.Fatalf("Run ecn: %v", err)

@@ -429,7 +429,7 @@ func TestGentleREDReducesForcedDrops(t *testing.T) {
 		t.Fatalf("Run cliff: %v", err)
 	}
 	gentleCfg := base
-	gentleCfg.REDGentle = true
+	gentleCfg.Gateway = "red?gentle=true"
 	gentle, err := Run(gentleCfg)
 	if err != nil {
 		t.Fatalf("Run gentle: %v", err)

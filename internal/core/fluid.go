@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tcpburst/internal/meanfield"
+	"tcpburst/internal/queue"
 	"tcpburst/internal/sim"
 	"tcpburst/internal/stats"
 	"tcpburst/internal/telemetry"
@@ -82,14 +83,33 @@ func (c Config) validateFluid() error {
 		return fmt.Errorf("config: fluid backend assumes exchangeable flows; per-client RTT jitter is unsupported")
 	case c.Traffic != TrafficPoisson:
 		return fmt.Errorf("config: fluid backend supports only Poisson sources (mean-field closure); traffic %v is unsupported", c.Traffic)
-	case c.Queue != nil:
-		return fmt.Errorf("config: fluid backend has a mean-field law only for fifo and classic red; discipline %q needs -backend packet", c.Queue)
-	case c.Gateway == DRR:
-		return fmt.Errorf("config: fluid backend has no mean-field law for DRR; use fifo or red")
 	case c.BufferPackets > maxFluidBuffer:
 		return fmt.Errorf("config: fluid backend caps the gateway buffer at %d packets (got %d)", maxFluidBuffer, c.BufferPackets)
 	}
-	return nil
+	_, _, err := fluidQueue(c.Gateway)
+	return err
+}
+
+// fluidQueue maps the gateway discipline onto its mean-field law: FIFO, or
+// RED with the settings the packet gateway would build.
+func fluidQueue(q GatewayQueue) (meanfield.QueueKind, meanfield.REDParams, error) {
+	red, isRED, err := queue.REDSettings(q.spec())
+	switch {
+	case err != nil:
+		return 0, meanfield.REDParams{}, err
+	case isRED:
+		return meanfield.RED, meanfield.REDParams{
+			MinThreshold: red.MinThreshold,
+			MaxThreshold: red.MaxThreshold,
+			Weight:       red.Weight,
+			MaxProb:      red.MaxProb,
+			Gentle:       red.Gentle,
+			ECN:          red.ECN,
+		}, nil
+	case q == FIFO:
+		return meanfield.FIFO, meanfield.REDParams{}, nil
+	}
+	return 0, meanfield.REDParams{}, fmt.Errorf("config: fluid backend has a mean-field law only for fifo and red; discipline %q needs -backend packet", q)
 }
 
 // fluidVariant maps a transport protocol to its mean-field window law.
@@ -139,19 +159,8 @@ func fluidParams(cfg Config) (meanfield.Params, []Protocol) {
 		Duration:    cfg.Duration.Seconds(),
 		Vegas:       meanfield.VegasParams{Alpha: cfg.Vegas.Alpha, Beta: cfg.Vegas.Beta},
 	}
-	if cfg.Gateway == RED {
-		params.Queue = meanfield.RED
-		params.RED = meanfield.REDParams{
-			MinThreshold: cfg.REDMinThreshold,
-			MaxThreshold: cfg.REDMaxThreshold,
-			Weight:       cfg.REDWeight,
-			MaxProb:      cfg.REDMaxProb,
-			Gentle:       cfg.REDGentle,
-			ECN:          cfg.REDECN,
-		}
-	} else {
-		params.Queue = meanfield.FIFO
-	}
+	// validateFluid has already accepted the discipline.
+	params.Queue, params.RED, _ = fluidQueue(cfg.Gateway)
 	return params, protos
 }
 
@@ -186,7 +195,7 @@ func runFluidContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fluid backend: %w", err)
 	}
-	res := fluidResult(cfg, protos, st)
+	res := fluidResult(cfg, params, protos, st)
 	if cfg.TelemetryInterval > 0 {
 		if err := runFluidTelemetry(ctx, cfg, params, res); err != nil {
 			return nil, err
@@ -203,7 +212,7 @@ func runFluidContext(ctx context.Context, cfg Config) (*Result, error) {
 // fluidResult maps the solved steady state onto the packet backend's
 // Result shape, scaling equilibrium rates by the run duration wherever the
 // packet engine reports totals.
-func fluidResult(cfg Config, protos []Protocol, st *meanfield.SteadyState) *Result {
+func fluidResult(cfg Config, params meanfield.Params, protos []Protocol, st *meanfield.SteadyState) *Result {
 	T := cfg.Duration.Seconds()
 	capacity := cfg.BottleneckRateBps / (8 * float64(cfg.PacketSize))
 	count := func(rate float64) uint64 {
@@ -278,9 +287,9 @@ func fluidResult(cfg Config, protos []Protocol, st *meanfield.SteadyState) *Resu
 	if sumG2 > 0 {
 		res.JainFairness = sumG * sumG / (n * sumG2)
 	}
-	if cfg.Gateway == RED {
+	if params.Queue == meanfield.RED {
 		red := &REDStats{FinalAvg: st.REDAvgMean}
-		if cfg.REDECN {
+		if params.RED.ECN {
 			red.Marks = count(st.MarkPPS)
 			red.ForcedDrops = count(st.DropPPS)
 		} else {
@@ -351,7 +360,7 @@ func runFluidTelemetry(ctx context.Context, cfg Config, params meanfield.Params,
 	probe("tcp.timeouts", func(s meanfield.Snapshot) float64 { return s.Timeouts })
 	probe("fluid.drop_prob", func(s meanfield.Snapshot) float64 { return s.DropProb })
 	probe("fluid.mean_window", func(s meanfield.Snapshot) float64 { return s.MeanWindow })
-	if cfg.Gateway == RED {
+	if params.Queue == meanfield.RED {
 		probe("red.avg", func(s meanfield.Snapshot) float64 { return s.REDAvg })
 		probe("red.marks", func(s meanfield.Snapshot) float64 { return s.Marks })
 	}

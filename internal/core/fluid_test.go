@@ -64,7 +64,7 @@ func TestFluidValidation(t *testing.T) {
 			c.MeanOnTime = sim.Duration(time.Second)
 			c.MeanOffTime = sim.Duration(time.Second)
 		}, "Poisson"},
-		{"drr", func(c *Config) { c.Gateway = DRR }, "DRR"},
+		{"drr", func(c *Config) { c.Gateway = DRR }, `discipline "drr" needs -backend packet`},
 		{"huge buffer", func(c *Config) { c.BufferPackets = 4096 }, "caps the gateway buffer"},
 	}
 	for _, tc := range cases {

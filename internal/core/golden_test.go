@@ -46,32 +46,36 @@ type goldenCase struct {
 // serial table entry for entry, which is the tentpole determinism claim:
 // sharding changes wall-clock time and nothing else. The parking-lot case
 // runs serially and at 2 shards (its one inter-gateway cut caps the chain
-// shard plan at 2).
-func goldenCases(shards int) []goldenCase {
+// shard plan at 2). Case names must be unique: computeGoldenDigests keys
+// its results by name, so a collision would silently pin only one run.
+func goldenCases(t *testing.T, shards int) []goldenCase {
 	cells := append(PaperCells(),
 		Cell{Protocol: Sack, Gateway: FIFO},
 		Cell{Protocol: Reno, Gateway: DRR},
 		// Registry-built disciplines join the matrix as spec cells: the AQM
 		// control laws (drop timing, ECN marks, admission sheds) are exactly
 		// the kind of behavior a hot-path refactor can bend without failing
-		// any unit test. red?ecn=true lowers onto the legacy enum, pinning
-		// the shim's round trip; the rest run through queue.Build.
-		Cell{Protocol: Reno, Queue: "codel"},
-		Cell{Protocol: Reno, Queue: "pie"},
-		Cell{Protocol: Reno, Queue: "red?ecn=true"},
-		Cell{Protocol: Reno, Queue: "tokenbucket?burst=25&rate=2000"},
+		// any unit test. red?ecn=true keeps the paper's "red" summary label
+		// and red* fields while running ECN marking.
+		Cell{Protocol: Reno, Gateway: "codel"},
+		Cell{Protocol: Reno, Gateway: "pie"},
+		Cell{Protocol: Reno, Gateway: "red?ecn=true"},
+		Cell{Protocol: Reno, Gateway: "tokenbucket?burst=25&rate=2000"},
 	)
 	var cases []goldenCase
+	seen := make(map[string]bool)
 	for _, cell := range cells {
 		for _, n := range []int{20, 39, 60} {
 			cell, n := cell, n
+			name := fmt.Sprintf("%s/n%d", cell, n)
+			if seen[name] {
+				t.Fatalf("duplicate golden case name %q", name)
+			}
+			seen[name] = true
 			cases = append(cases, goldenCase{
-				name: fmt.Sprintf("%s/n%d", cell, n),
+				name: name,
 				run: func() ([]byte, error) {
 					cfg := DefaultConfig(n, cell.Protocol, cell.Gateway)
-					if err := cell.applyTo(&cfg); err != nil {
-						return nil, err
-					}
 					cfg.Duration = goldenDuration
 					cfg.Shards = shards
 					res, err := Run(cfg)
@@ -105,11 +109,20 @@ func goldenCases(shards int) []goldenCase {
 			if err != nil {
 				return nil, err
 			}
-			// The config echo and schema stamp are excluded so the digest
-			// tracks behavior, not the shape of the encoding itself.
-			res.Config = ChainConfig{}
-			res.SchemaVersion = 0
-			return json.Marshal(res)
+			// The config echo and schema stamp are dropped so the digest
+			// tracks behavior, not the shape of the encoding itself: a
+			// zeroed ChainConfig would still encode every Config field.
+			raw, err := json.Marshal(res)
+			if err != nil {
+				return nil, err
+			}
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &fields); err != nil {
+				return nil, err
+			}
+			delete(fields, "Config")
+			delete(fields, "schemaVersion")
+			return json.Marshal(fields)
 		},
 	})
 	return cases
@@ -151,7 +164,7 @@ func TestGoldenSummaries(t *testing.T) {
 	}
 
 	if *updateGolden {
-		digests := computeGoldenDigests(t, goldenCases(1))
+		digests := computeGoldenDigests(t, goldenCases(t, 1))
 		if t.Failed() {
 			t.Fatal("not writing golden file: some cases failed")
 		}
@@ -187,7 +200,7 @@ func TestGoldenSummaries(t *testing.T) {
 		t.Fatalf("parse golden table: %v", err)
 	}
 
-	got := computeGoldenDigests(t, goldenCases(1))
+	got := computeGoldenDigests(t, goldenCases(t, 1))
 	if len(got) != len(want) {
 		t.Errorf("golden table has %d entries, current run produced %d (regenerate with -update-golden)",
 			len(want), len(got))
@@ -228,7 +241,7 @@ func TestGoldenSummariesSharded(t *testing.T) {
 		shards := shards
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			t.Parallel()
-			got := computeGoldenDigests(t, goldenCases(shards))
+			got := computeGoldenDigests(t, goldenCases(t, shards))
 			for name, gotDigest := range got {
 				wantDigest, ok := want[name]
 				if !ok {

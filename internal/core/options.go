@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"tcpburst/internal/queue"
 	"tcpburst/internal/sim"
 	"tcpburst/internal/telemetry"
@@ -66,46 +64,30 @@ func WithProtocol(p Protocol) Option {
 	return func(c *Config) { c.Protocol = p }
 }
 
-// WithGateway sets the bottleneck queueing discipline by legacy enum.
-//
-// Deprecated: use WithGatewayDiscipline; the enum covers only fifo/red/drr.
+// WithGateway sets the bottleneck queueing discipline by registry spec
+// text: FIFO, RED, DRR, or any registered discipline with parameters, e.g.
+// GatewayQueue("codel?target=5ms").
 func WithGateway(q GatewayQueue) Option {
 	return func(c *Config) { c.Gateway = q }
 }
 
-// WithGatewayDiscipline selects the bottleneck discipline by registry spec.
-// Specs naming a legacy discipline (fifo, red, drr and RED's classic
-// parameters) lower onto the deprecated enum fields during defaulting, so
-// they configure — and cache — exactly as the old enum spelling did;
-// anything else runs through the queue.Build registry.
-func WithGatewayDiscipline(spec queue.Spec) Option {
-	s := spec.Clone()
-	return func(c *Config) {
-		c.Gateway = 0
-		c.Queue = &s
-	}
-}
-
 // ParseDiscipline parses a CLI "-queue" value in the registry's
 // "name?key=value&..." grammar (e.g. "codel?target=5ms&interval=100ms")
-// into a configuration option — the one shared parser every CLI uses.
+// into a WithGateway option — the one shared parser every CLI uses.
+// Malformed syntax fails here; an unknown name or parameter fails in
+// NewConfig's validation.
 func ParseDiscipline(s string) (Option, error) {
-	spec, err := queue.ParseSpec(s)
-	if err != nil {
+	if _, err := queue.ParseSpec(s); err != nil {
 		return nil, err
 	}
-	return WithGatewayDiscipline(spec), nil
+	return WithGateway(GatewayQueue(s)), nil
 }
 
 // WithCell sets protocol and gateway together from a sweep cell. A
-// malformed spec string in the cell panics; use Cell values built from
-// validated specs (or ParseDiscipline for raw CLI input).
+// malformed discipline in the cell surfaces as NewConfig's validation
+// error.
 func WithCell(cell Cell) Option {
-	return func(c *Config) {
-		if err := cell.applyTo(c); err != nil {
-			panic(fmt.Sprintf("core: invalid cell %q: %v", cell.Queue, err))
-		}
-	}
+	return func(c *Config) { c.Protocol, c.Gateway = cell.Protocol, cell.Gateway }
 }
 
 // WithSeed sets the run's master random seed.
@@ -180,27 +162,6 @@ func WithWireLoss(prob float64) Option {
 // compression studies); zero keeps the forward rate.
 func WithReverseRate(bps float64) Option {
 	return func(c *Config) { c.ReverseRateBps = bps }
-}
-
-// WithRED sets the RED gateway thresholds, EWMA weight and max drop
-// probability (and is meaningful only with WithGateway(RED)).
-func WithRED(minThreshold, maxThreshold, weight, maxProb float64) Option {
-	return func(c *Config) {
-		c.REDMinThreshold = minThreshold
-		c.REDMaxThreshold = maxThreshold
-		c.REDWeight = weight
-		c.REDMaxProb = maxProb
-	}
-}
-
-// WithREDECN switches RED from dropping to ECN marking.
-func WithREDECN() Option {
-	return func(c *Config) { c.REDECN = true }
-}
-
-// WithREDGentle enables Floyd's gentle-RED ramp above the max threshold.
-func WithREDGentle() Option {
-	return func(c *Config) { c.REDGentle = true }
 }
 
 // WithCwndTracing samples the chosen clients' congestion windows at the

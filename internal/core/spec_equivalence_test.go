@@ -5,100 +5,62 @@ import (
 	"strings"
 	"testing"
 
-	"tcpburst/internal/queue"
 	"tcpburst/internal/runcache"
 )
 
-// TestSpecLowersToLegacyConfig proves the deprecation shim: a config built
-// through the new spec API for a legacy discipline is byte-identical, after
-// defaulting, to the same config built through the deprecated enum — which
-// is what keeps golden digests and run-cache keys unchanged.
-func TestSpecLowersToLegacyConfig(t *testing.T) {
-	cases := []struct {
-		spec   string
-		legacy func() Config
-	}{
-		{"fifo", func() Config { return DefaultConfig(20, Reno, FIFO) }},
-		{"red", func() Config { return DefaultConfig(20, Reno, RED) }},
-		{"drr", func() Config { return DefaultConfig(20, Reno, DRR) }},
-		{"red?ecn=true", func() Config {
-			c := DefaultConfig(39, Vegas, RED)
-			c.REDECN = true
-			return c
-		}},
-		{"red?min=5&max=15&gentle=true", func() Config {
-			c := DefaultConfig(20, Reno, RED)
-			c.REDMinThreshold = 5
-			c.REDMaxThreshold = 15
-			c.REDGentle = true
-			return c
-		}},
+// TestGatewaySpecCanonicalizes checks that WithDefaults canonicalizes the
+// discipline text: two spellings of one RED configuration default to the
+// same Config and therefore share a run-cache key.
+func TestGatewaySpecCanonicalizes(t *testing.T) {
+	a := DefaultConfig(20, Reno, "red?min=5&gentle=true").WithDefaults()
+	b := DefaultConfig(20, Reno, "red?gentle=true&min=5").WithDefaults()
+	if a.Gateway != "red?gentle=true&min=5" {
+		t.Errorf("canonical gateway = %q, want parameters sorted by key", a.Gateway)
 	}
-	for _, tc := range cases {
-		legacy := tc.legacy().WithDefaults()
-
-		viaSpec := tc.legacy()
-		viaSpec.Gateway = 0
-		viaSpec.REDECN = false
-		viaSpec.REDGentle = false
-		viaSpec.REDMinThreshold = 0
-		viaSpec.REDMaxThreshold = 0
-		spec, err := queue.ParseSpec(tc.spec)
-		if err != nil {
-			t.Fatalf("ParseSpec(%q): %v", tc.spec, err)
-		}
-		viaSpec.Queue = &spec
-		defaulted := viaSpec.WithDefaults()
-
-		a, err := json.Marshal(legacy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(defaulted)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(a) != string(b) {
-			t.Errorf("spec %q does not lower to the legacy encoding:\nlegacy: %s\nspec:   %s", tc.spec, a, b)
-		}
-		if strings.Contains(string(a), `"Queue"`) {
-			t.Errorf("legacy encoding leaks a Queue key: %s", a)
-		}
-		ka, err := runcache.Key(resultCacheKind(legacy), legacy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kb, err := runcache.Key(resultCacheKind(defaulted), defaulted)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ka != kb {
-			t.Errorf("spec %q cache key %s != legacy key %s", tc.spec, kb, ka)
-		}
+	ja, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(ja) != string(jb) {
+		t.Errorf("spellings default differently:\n%s\n%s", ja, jb)
+	}
+	ka, err := runcache.Key(resultCacheKind(a), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := runcache.Key(resultCacheKind(b), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ka != kb {
+		t.Errorf("cache keys differ: %s vs %s", ka, kb)
+	}
+	if err := a.Validate(); err != nil {
+		t.Errorf("canonical config invalid: %v", err)
 	}
 }
 
-// TestLegacyCacheKeysPinned pins the run-cache keys of the legacy golden
-// cells to their pre-registry values. If one of these moves, previously
-// cached results (and the golden digest table) are silently orphaned —
-// which is exactly the regression the registry redesign promised not to
-// cause.
+// TestLegacyCacheKeysPinned pins the run-cache keys of the paper's golden
+// cells. If one of these moves, previously cached results are silently
+// orphaned: a change to Config's JSON must come with a cache-kind bump and
+// a deliberate re-pin here.
 func TestLegacyCacheKeysPinned(t *testing.T) {
 	cases := []struct {
 		cfg  Config
 		want string
 	}{
 		{DefaultConfig(20, Reno, FIFO),
-			"438f9e2ed7f3ed6c019e9cc5282f28df7d9841c7bd8f04248e321601f6b47784"},
+			"04f6f05d438767cbbf8a08fb6dd27a1c7e105aef657cd59ee7ccff1dc333f317"},
 		{DefaultConfig(20, Reno, RED),
-			"7e3b4250b2dfdbee7fcba8d046335f97da57abac25edca75d934551a108c13c4"},
+			"fdb9c424b2e07099719116814d042b331b37c9c42f32006f94306f5f4989db7a"},
 		{DefaultConfig(20, Reno, DRR),
-			"2f36227c22b04260828652de3c19df045edfdea3409411b3d22282ea0b35f210"},
-		{func() Config {
-			c := DefaultConfig(39, Vegas, RED)
-			c.REDECN = true
-			return c
-		}(), "3926f48995324497751f9719e612d911a882443130cfdbb647cbe9a894ee54f2"},
+			"01acb193a0a30fb88f1ba6c77653d7be06a5d3994862e1c28c10897a9380a8f4"},
+		{DefaultConfig(39, Vegas, "red?ecn=true"),
+			"92a2ce8f1935b207e27b4692d6f156919dee98bb1dd333c75ffa8abc43f54247"},
 	}
 	for _, tc := range cases {
 		cfg := tc.cfg.WithDefaults()
@@ -109,19 +71,6 @@ func TestLegacyCacheKeysPinned(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: cache key %s, want pinned %s", cfg.Label(), got, tc.want)
 		}
-	}
-}
-
-// TestConfigRejectsBothDisciplineForms checks that setting the deprecated
-// enum and a non-lowerable spec together is a validation error rather than
-// one silently winning.
-func TestConfigRejectsBothDisciplineForms(t *testing.T) {
-	cfg := DefaultConfig(10, Reno, RED)
-	spec := queue.Spec{Name: "codel"}
-	cfg.Queue = &spec
-	err := cfg.WithDefaults().Validate()
-	if err == nil || !strings.Contains(err.Error(), "pick one discipline") {
-		t.Errorf("Validate() = %v, want both-set rejection", err)
 	}
 }
 
@@ -138,37 +87,25 @@ func TestConfigValidatesSpecAtConfigTime(t *testing.T) {
 		{"tokenbucket", "rate"},
 	}
 	for _, tc := range cases {
-		cfg := DefaultConfig(10, Reno, 0)
-		spec, err := queue.ParseSpec(tc.spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Gateway = 0
-		cfg.Queue = &spec
-		err = cfg.WithDefaults().Validate()
+		cfg := DefaultConfig(10, Reno, GatewayQueue(tc.spec))
+		err := cfg.WithDefaults().Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.substr) {
 			t.Errorf("Validate(%q) = %v, want mention of %q", tc.spec, err, tc.substr)
 		}
 	}
 }
 
-// TestWithGatewayDisciplineOption checks the functional-option entry point:
-// the spec is cloned (no aliasing) and clears the deprecated enum.
+// TestWithGatewayDisciplineOption checks the functional-option entry
+// points: WithGateway carries spec text into the Config, and
+// ParseDiscipline rejects malformed syntax at once while unknown names fail
+// in NewConfig.
 func TestWithGatewayDisciplineOption(t *testing.T) {
-	spec, err := queue.ParseSpec("codel?target=2ms")
+	cfg, err := NewConfig(WithClients(10), WithProtocol(Reno), WithGateway("codel?target=2ms"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := NewConfig(WithClients(10), WithProtocol(Reno), WithGatewayDiscipline(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Gateway != 0 || cfg.Queue == nil || cfg.Queue.String() != "codel?target=2ms" {
-		t.Fatalf("WithGatewayDiscipline: Gateway=%v Queue=%v", cfg.Gateway, cfg.Queue)
-	}
-	spec.Params["target"] = "9ms"
-	if cfg.Queue.Params["target"] != "2ms" {
-		t.Error("option aliased the caller's spec map")
+	if cfg.Gateway != "codel?target=2ms" || cfg.QueueName() != "codel?target=2ms" {
+		t.Fatalf("WithGateway: Gateway=%q QueueName=%q", cfg.Gateway, cfg.QueueName())
 	}
 
 	opt, err := ParseDiscipline("pie?ecn=true")
@@ -182,6 +119,15 @@ func TestWithGatewayDisciplineOption(t *testing.T) {
 	if cfg.QueueName() != "pie?ecn=true" {
 		t.Errorf("ParseDiscipline QueueName = %q", cfg.QueueName())
 	}
+	// The paper's disciplines keep their bare summary label whatever
+	// their parameters.
+	cfg, err = NewConfig(WithClients(10), WithProtocol(Reno), WithGateway("red?ecn=true"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.QueueName() != "red" {
+		t.Errorf("red?ecn=true QueueName = %q, want red", cfg.QueueName())
+	}
 	// ParseDiscipline rejects malformed syntax immediately; unknown names
 	// parse (any bare word is grammatical) and fail later in Validate.
 	if _, err := ParseDiscipline("codel?"); err == nil {
@@ -191,6 +137,21 @@ func TestWithGatewayDisciplineOption(t *testing.T) {
 		t.Errorf("ParseDiscipline rejected a grammatical name: %v", err)
 	} else if _, err := NewConfig(WithClients(10), WithProtocol(Reno), opt); err == nil {
 		t.Error("NewConfig accepted an unknown discipline")
+	}
+}
+
+// TestWithCellMalformedSpecErrors checks that a malformed discipline in a
+// cell — user input, via burstsweep -queue — is a NewConfig error, not a
+// panic.
+func TestWithCellMalformedSpecErrors(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("NewConfig panicked: %v", r)
+		}
+	}()
+	_, err := NewConfig(WithClients(10), WithCell(Cell{Protocol: Reno, Gateway: "codel?"}))
+	if err == nil || !strings.Contains(err.Error(), "no parameters") {
+		t.Errorf("NewConfig = %v, want the spec parse error", err)
 	}
 }
 

@@ -26,20 +26,20 @@ func TestFluidRejectsRegistryDisciplines(t *testing.T) {
 			t.Errorf("fluid rejection of %q = %q, want the discipline and the packet-backend fix named", spec, msg)
 		}
 	}
-	// The lowered spellings of the modeled disciplines still pass.
-	for _, spec := range []string{"fifo", "red"} {
+	// The modeled disciplines, with or without parameters, still pass.
+	for _, spec := range []string{"fifo", "red", "red?ecn=true&min=5"} {
 		opt, err := ParseDiscipline(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := NewConfig(WithClients(10), WithProtocol(Reno), WithBackend(FluidBackend), opt); err != nil {
-			t.Errorf("fluid backend rejected lowered %q: %v", spec, err)
+			t.Errorf("fluid backend rejected %q: %v", spec, err)
 		}
 	}
 }
 
-// TestSweepOverSpecCells runs a miniature sweep mixing legacy and registry
-// cells and checks each point runs its own discipline end-to-end.
+// TestSweepOverSpecCells runs a miniature sweep mixing the paper's fifo and
+// registry-only disciplines and checks each point runs its own discipline end-to-end.
 func TestSweepOverSpecCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -49,8 +49,8 @@ func TestSweepOverSpecCells(t *testing.T) {
 		Clients: []int{12},
 		Cells: []Cell{
 			{Protocol: Reno, Gateway: FIFO},
-			{Protocol: Reno, Queue: "codel?interval=40ms&target=2ms"},
-			{Protocol: Reno, Queue: "tokenbucket?burst=25&rate=2000"},
+			{Protocol: Reno, Gateway: "codel?interval=40ms&target=2ms"},
+			{Protocol: Reno, Gateway: "tokenbucket?burst=25&rate=2000"},
 		},
 	})
 	if err != nil {
@@ -60,16 +60,16 @@ func TestSweepOverSpecCells(t *testing.T) {
 		t.Fatalf("points = %d, want 3", len(sweep.Points))
 	}
 
-	legacy := sweep.Point(Cell{Protocol: Reno, Gateway: FIFO}, 12)
-	if legacy == nil || legacy.Result.AQM != nil || legacy.Result.Config.Queue != nil {
-		t.Error("legacy cell gained registry state")
+	fifo := sweep.Point(Cell{Protocol: Reno, Gateway: FIFO}, 12)
+	if fifo == nil || fifo.Result.AQM != nil || fifo.Result.Config.Gateway != FIFO {
+		t.Error("fifo cell gained AQM state")
 	}
 
-	codel := sweep.Point(Cell{Protocol: Reno, Queue: "codel?interval=40ms&target=2ms"}, 12)
+	codel := sweep.Point(Cell{Protocol: Reno, Gateway: "codel?interval=40ms&target=2ms"}, 12)
 	if codel == nil {
 		t.Fatal("missing codel point")
 	}
-	if codel.Result.Config.Gateway != 0 || codel.Result.Config.QueueName() != "codel?interval=40ms&target=2ms" {
+	if codel.Result.Config.Gateway != "codel?interval=40ms&target=2ms" || codel.Result.Config.QueueName() != "codel?interval=40ms&target=2ms" {
 		t.Errorf("codel point config: gateway=%v queue=%q",
 			codel.Result.Config.Gateway, codel.Result.Config.QueueName())
 	}
@@ -80,7 +80,7 @@ func TestSweepOverSpecCells(t *testing.T) {
 		t.Errorf("codel summary gateway = %q", s.Gateway)
 	}
 
-	tb := sweep.Point(Cell{Protocol: Reno, Queue: "tokenbucket?burst=25&rate=2000"}, 12)
+	tb := sweep.Point(Cell{Protocol: Reno, Gateway: "tokenbucket?burst=25&rate=2000"}, 12)
 	if tb == nil {
 		t.Fatal("missing tokenbucket point")
 	}
@@ -104,7 +104,7 @@ func TestSweepRejectsMalformedSpecCell(t *testing.T) {
 	_, err := RunSweep(SweepOptions{
 		Base:    Config{Duration: 5 * time.Second},
 		Clients: []int{4},
-		Cells:   []Cell{{Protocol: Reno, Queue: "codel?target"}},
+		Cells:   []Cell{{Protocol: Reno, Gateway: "codel?target"}},
 	})
 	if err == nil || !strings.Contains(err.Error(), "cell") {
 		t.Errorf("RunSweep = %v, want cell-naming spec error", err)

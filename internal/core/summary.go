@@ -1,6 +1,10 @@
 package core
 
-import "encoding/json"
+import (
+	"encoding/json"
+
+	"tcpburst/internal/queue"
+)
 
 // SummarySchemaVersion stamps the serialized encodings of Summary and
 // ChainResult. Bump it whenever the JSON shape changes incompatibly; the
@@ -55,9 +59,9 @@ type Summary struct {
 	REDMarks       uint64  `json:"redMarks,omitempty"`
 	REDFinalAvg    float64 `json:"redFinalAvg,omitempty"`
 
-	// AQM* mirror Result.AQM for registry-built (Config.Queue) gateways;
-	// omitted for legacy runs so their digests are byte-identical to the
-	// pre-registry era.
+	// AQM* mirror Result.AQM for disciplines beyond the paper's
+	// fifo/red/drr; omitted for those three, whose digests stay
+	// byte-identical to the pre-registry era.
 	AQMEarlyDrops  uint64  `json:"aqmEarlyDrops,omitempty"`
 	AQMForcedDrops uint64  `json:"aqmForcedDrops,omitempty"`
 	AQMMarks       uint64  `json:"aqmMarks,omitempty"`
@@ -193,15 +197,15 @@ func ResultFromSummary(cfg Config, s Summary) *Result {
 		SimEvents:        s.SimEvents,
 		TelemetryRecords: s.TelemetryRecords,
 	}
-	if cfg.Gateway == RED {
+	switch cfg.Gateway.spec().Reporting() {
+	case queue.ReportRED:
 		r.RED = &REDStats{
 			EarlyDrops:  s.REDEarlyDrops,
 			ForcedDrops: s.REDForcedDrops,
 			Marks:       s.REDMarks,
 			FinalAvg:    s.REDFinalAvg,
 		}
-	}
-	if cfg.Queue != nil {
+	case queue.ReportAQM:
 		r.AQM = &AQMStats{
 			EarlyDrops:  s.AQMEarlyDrops,
 			ForcedDrops: s.AQMForcedDrops,

@@ -11,46 +11,22 @@ import (
 )
 
 // Cell names one protocol/discipline combination in a sweep, e.g.
-// "reno/red". The paper's figure legends use exactly these pairs. Queue,
-// when non-empty, selects the discipline by registry spec string instead
-// of the Gateway enum — how sweeps cover CoDel, PIE, ECN-RED, and
-// admission-control cells.
+// "reno/red". The paper's figure legends use exactly these pairs; any
+// registered discipline joins a sweep as spec text, e.g.
+// Cell{Protocol: Reno, Gateway: "codel?target=5ms"}.
 type Cell struct {
 	Protocol Protocol
 	Gateway  GatewayQueue
-	Queue    string
 }
 
-// String returns the legend label, omitting "/fifo" for the plain cases to
-// match the paper ("Reno", "Reno/RED", ...); spec cells render as
-// "reno/codel?target=5ms".
+// String returns the legend label: the bare protocol for FIFO cells, as the
+// paper's legends read ("reno"), and "protocol/spec" for every other
+// discipline ("reno/red", "reno/drr", "reno/codel?target=5ms").
 func (c Cell) String() string {
-	if c.Queue != "" {
-		return c.Protocol.String() + "/" + c.Queue
+	if c.Gateway == FIFO || c.Gateway == "" {
+		return c.Protocol.String()
 	}
-	if c.Gateway == RED {
-		return c.Protocol.String() + "/red"
-	}
-	return c.Protocol.String()
-}
-
-// applyTo writes the cell's protocol and discipline into cfg. Spec cells
-// parse their queue string; a malformed spec surfaces here rather than as
-// a misbuilt run.
-func (c Cell) applyTo(cfg *Config) error {
-	cfg.Protocol = c.Protocol
-	cfg.Gateway = c.Gateway
-	cfg.Queue = nil
-	if c.Queue == "" {
-		return nil
-	}
-	spec, err := queue.ParseSpec(c.Queue)
-	if err != nil {
-		return err
-	}
-	cfg.Gateway = 0
-	cfg.Queue = &spec
-	return nil
+	return c.Protocol.String() + "/" + string(c.Gateway)
 }
 
 // PaperCells returns the six protocol/queue combinations of Figures 2–4
@@ -133,14 +109,18 @@ func RunSweepContext(ctx context.Context, opts SweepOptions) (*Sweep, error) {
 	if len(clients) == 0 {
 		clients = DefaultSweepClients()
 	}
+	for _, cell := range cells {
+		// A malformed spec fails before any run, naming its cell.
+		if _, err := queue.ParseSpec(string(cell.Gateway)); err != nil {
+			return nil, fmt.Errorf("sweep: cell %s: %w", cell, err)
+		}
+	}
 	cfgs := make([]Config, 0, len(clients)*len(cells))
 	for _, n := range clients {
 		for _, cell := range cells {
 			cfg := opts.Base
 			cfg.Clients = n
-			if err := cell.applyTo(&cfg); err != nil {
-				return nil, fmt.Errorf("sweep: cell %s: %w", cell, err)
-			}
+			cfg.Protocol, cfg.Gateway = cell.Protocol, cell.Gateway
 			cfgs = append(cfgs, cfg)
 		}
 	}

@@ -150,28 +150,39 @@ func buildFIFO(spec Spec, ctx BuildContext) (Discipline, error) {
 	return NewFIFO(ctx.Capacity), nil
 }
 
-// buildRED maps the spec parameters onto REDConfig. Defaults are the
-// paper-era values of DefaultREDConfig, and the parameter names mirror the
-// deprecated flat Config fields they replace.
-func buildRED(spec Spec, ctx BuildContext) (Discipline, error) {
-	p := spec.params()
-	cfg := REDConfig{
-		Capacity:       ctx.Capacity,
-		MinThreshold:   p.float("min", 10),
-		MaxThreshold:   p.float("max", 40),
-		Weight:         p.float("weight", 0.002),
-		MaxProb:        p.float("maxprob", 0.1),
-		MeanPacketTime: ctx.MeanPacketTime,
-		ECN:            p.boolean("ecn", false),
-		Gentle:         p.boolean("gentle", false),
-		Metrics: REDMetrics{
-			EarlyDrops:  ctx.Metrics.EarlyDrops,
-			ForcedDrops: ctx.Metrics.ForcedDrops,
-			Marks:       ctx.Metrics.Marks,
-		},
+// REDSettings reads RED's tunables from a "red" spec; ok is false for any
+// other discipline. Absent keys take the paper-era values of
+// DefaultREDConfig. The packet gateway (buildRED) and the fluid backend's
+// mean-field RED law both read RED through it, so the two backends cannot
+// disagree on a default. Only the tunables are set: capacity, clock, RNG
+// and metrics are the builder's.
+func REDSettings(spec Spec) (cfg REDConfig, ok bool, err error) {
+	if spec.Name != "red" {
+		return REDConfig{}, false, nil
 	}
-	if err := p.finish(); err != nil {
+	p := spec.params()
+	cfg = REDConfig{
+		MinThreshold: p.float("min", 10),
+		MaxThreshold: p.float("max", 40),
+		Weight:       p.float("weight", 0.002),
+		MaxProb:      p.float("maxprob", 0.1),
+		ECN:          p.boolean("ecn", false),
+		Gentle:       p.boolean("gentle", false),
+	}
+	return cfg, true, p.finish()
+}
+
+func buildRED(spec Spec, ctx BuildContext) (Discipline, error) {
+	cfg, _, err := REDSettings(spec)
+	if err != nil {
 		return nil, err
+	}
+	cfg.Capacity = ctx.Capacity
+	cfg.MeanPacketTime = ctx.MeanPacketTime
+	cfg.Metrics = REDMetrics{
+		EarlyDrops:  ctx.Metrics.EarlyDrops,
+		ForcedDrops: ctx.Metrics.ForcedDrops,
+		Marks:       ctx.Metrics.Marks,
 	}
 	cfg.RNG = ctx.RNG()
 	return NewRED(cfg)

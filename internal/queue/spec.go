@@ -12,8 +12,9 @@ import (
 )
 
 // Spec is the self-describing name of a gateway discipline plus its
-// parameters — the extensible replacement for the closed discipline enum.
-// The canonical text form is "name" or "name?key=value&key2=value2", e.g.
+// parameters — the one representation of a discipline; the experiment
+// harness stores its canonical text as the configuration. The canonical
+// text form is "name" or "name?key=value&key2=value2", e.g.
 //
 //	fifo
 //	red?ecn=true
@@ -98,81 +99,6 @@ func (s Spec) Clone() Spec {
 		return s
 	}
 	return Spec{Name: s.Name, Params: maps.Clone(s.Params)}
-}
-
-// Legacy is the pre-registry parameterization a spec can lower to: the
-// three original disciplines and RED's flat threshold fields. The harness
-// uses it to canonicalize specs like "red?ecn=true" onto the deprecated
-// enum + RED* Config fields, which is what keeps golden digests and cache
-// keys for FIFO/RED/DRR byte-identical whether a run was configured
-// through the old enum or the new spec. Zero-valued floats mean "not
-// provided, take the default" — exactly the flat fields' convention.
-type Legacy struct {
-	// Kind is "fifo", "red", or "drr".
-	Kind string
-	// RED parameters (Kind == "red" only); zero means default.
-	Min, Max, Weight, MaxProb float64
-	ECN, Gentle               bool
-}
-
-// Lower reports whether the spec is expressible in the legacy enum + flat
-// RED fields, and how. It lives here — inside the registry package — so
-// the harness never has to compare discipline names itself; this is the
-// one sanctioned bridge between the spec world and the deprecated fields.
-// A red spec with an explicit zero-valued numeric parameter does not lower
-// (the flat fields cannot distinguish zero from unset) and runs through
-// the registry directly instead.
-func (s Spec) Lower() (Legacy, bool) {
-	switch s.Name {
-	case "fifo", "drr":
-		if len(s.Params) != 0 {
-			return Legacy{}, false
-		}
-		return Legacy{Kind: s.Name}, true
-	case "red":
-		l := Legacy{Kind: "red"}
-		seen := 0
-		for _, f := range []struct {
-			key string
-			dst *float64
-		}{
-			{"min", &l.Min}, {"max", &l.Max},
-			{"weight", &l.Weight}, {"maxprob", &l.MaxProb},
-		} {
-			v, ok := s.Params[f.key]
-			if !ok {
-				continue
-			}
-			seen++
-			x, err := strconv.ParseFloat(v, 64)
-			if err != nil || x == 0 { //burst:floateq-ok zero is the flat fields' "unset" sentinel and cannot lower
-				return Legacy{}, false
-			}
-			*f.dst = x
-		}
-		for _, f := range []struct {
-			key string
-			dst *bool
-		}{{"ecn", &l.ECN}, {"gentle", &l.Gentle}} {
-			v, ok := s.Params[f.key]
-			if !ok {
-				continue
-			}
-			seen++
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				return Legacy{}, false
-			}
-			*f.dst = b
-		}
-		if seen != len(s.Params) {
-			// A key outside the legacy vocabulary: not lowerable (the
-			// registry build will name it in an error).
-			return Legacy{}, false
-		}
-		return l, true
-	}
-	return Legacy{}, false
 }
 
 // params is the typed, error-accumulating reader factories use to pull

@@ -3,6 +3,8 @@ package queue
 import (
 	"strings"
 	"testing"
+
+	"tcpburst/internal/telemetry"
 )
 
 func TestParseSpec(t *testing.T) {
@@ -102,39 +104,96 @@ func TestSpecClone(t *testing.T) {
 	}
 }
 
-func TestSpecLower(t *testing.T) {
+// TestREDSettings checks the RED reader both backends share: absent keys
+// take the paper-era defaults, given keys override them, other
+// disciplines report !ok, and a bad or unknown key is an error.
+func TestREDSettings(t *testing.T) {
+	def := DefaultREDConfig(0, 0, nil)
 	cases := []struct {
 		in   string
-		want Legacy
+		want REDConfig
 		ok   bool
 	}{
-		{"fifo", Legacy{Kind: "fifo"}, true},
-		{"drr", Legacy{Kind: "drr"}, true},
-		{"red", Legacy{Kind: "red"}, true},
-		{"red?ecn=true", Legacy{Kind: "red", ECN: true}, true},
-		{"red?gentle=true&ecn=false", Legacy{Kind: "red", Gentle: true}, true},
-		{"red?min=5&max=15&weight=0.01&maxprob=0.2",
-			Legacy{Kind: "red", Min: 5, Max: 15, Weight: 0.01, MaxProb: 0.2}, true},
-		// Explicit zero cannot be told apart from "unset" in the flat
-		// fields, so it must not lower.
-		{"red?min=0", Legacy{}, false},
-		// Keys outside the legacy vocabulary run through the registry.
-		{"red?target=5ms", Legacy{}, false},
-		{"red?ecn=notabool", Legacy{}, false},
-		// Parameterized fifo/drr and every new discipline never lower.
-		{"fifo?x=1", Legacy{}, false},
-		{"codel", Legacy{}, false},
-		{"pie?target=15ms", Legacy{}, false},
-		{"tokenbucket?rate=3000", Legacy{}, false},
+		{"red", def, true},
+		{"red?ecn=true", REDConfig{MinThreshold: 10, MaxThreshold: 40, Weight: 0.002, MaxProb: 0.1, ECN: true}, true},
+		{"red?gentle=true&max=15&maxprob=0.2&min=5&weight=0.01",
+			REDConfig{MinThreshold: 5, MaxThreshold: 15, Weight: 0.01, MaxProb: 0.2, Gentle: true}, true},
+		{"fifo", REDConfig{}, false},
+		{"codel?target=5ms", REDConfig{}, false},
 	}
 	for _, tc := range cases {
 		spec, err := ParseSpec(tc.in)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", tc.in, err)
 		}
-		got, ok := spec.Lower()
-		if ok != tc.ok || got != tc.want {
-			t.Errorf("Lower(%q) = %+v, %v; want %+v, %v", tc.in, got, ok, tc.want, tc.ok)
+		got, ok, err := REDSettings(spec)
+		if err != nil || ok != tc.ok || got != tc.want {
+			t.Errorf("REDSettings(%q) = %+v, %v, %v; want %+v, %v", tc.in, got, ok, err, tc.want, tc.ok)
 		}
 	}
+	for _, in := range []string{"red?min=x", "red?target=5ms", "red?ecn=notabool"} {
+		spec, err := ParseSpec(in)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", in, err)
+		}
+		if _, _, err := REDSettings(spec); err == nil {
+			t.Errorf("REDSettings(%q) accepted a bad parameter", in)
+		}
+	}
+}
+
+// TestSpecReporting pins how each discipline labels itself and where its
+// counters go: the paper's disciplines keep their bare names and the
+// red*/drr series, everything else reports as generic AQM.
+func TestSpecReporting(t *testing.T) {
+	cases := []struct {
+		in      string
+		label   string
+		report  Reporting
+		metrics []string
+	}{
+		{"fifo", "fifo", ReportNone, nil},
+		{"drr", "drr", ReportNone, []string{"drr.evictions"}},
+		{"red?ecn=true", "red", ReportRED, []string{"red.early_drops", "red.forced_drops", "red.marks"}},
+		{"codel?target=5ms", "codel?target=5ms", ReportAQM,
+			[]string{"aqm.early_drops", "aqm.forced_drops", "aqm.marks", "aqm.shed", "aqm.evictions"}},
+	}
+	for _, tc := range cases {
+		spec, err := ParseSpec(tc.in)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", tc.in, err)
+		}
+		if got := spec.Label(); got != tc.label {
+			t.Errorf("%q Label = %q, want %q", tc.in, got, tc.label)
+		}
+		if got := spec.Reporting(); got != tc.report {
+			t.Errorf("%q Reporting = %v, want %v", tc.in, got, tc.report)
+		}
+		reg := telemetry.NewRegistry()
+		spec.RegisterMetrics(reg)
+		if got := reg.Fields(); strings.Join(got, ",") != strings.Join(tc.metrics, ",") {
+			t.Errorf("%q registered %v, want %v", tc.in, got, tc.metrics)
+		}
+	}
+}
+
+// FuzzParseSpec checks the grammar the Config canonicalization rests on:
+// ParseSpec never panics, and every accepted spec's canonical text parses
+// back to itself, so canonicalizing twice is canonicalizing once. The seed
+// corpus in testdata/fuzz holds the golden table's specs.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		canon := spec.String()
+		again, err := ParseSpec(canon)
+		if err != nil {
+			t.Fatalf("canonical text %q of %q does not parse: %v", canon, s, err)
+		}
+		if again.String() != canon {
+			t.Fatalf("canonical text %q of %q re-renders as %q", canon, s, again.String())
+		}
+	})
 }
