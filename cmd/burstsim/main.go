@@ -176,6 +176,12 @@ func run(w io.Writer, args []string) error {
 	}
 	if *stats {
 		fmt.Fprint(os.Stderr, batchStats.Table())
+		// Elided arrivals are a property of the run, not of its summary,
+		// so a cached result has none to report.
+		if batchStats.Ran > 0 && res.SimEvents > 0 {
+			fmt.Fprintf(os.Stderr, "  elided      %d of %d sim events were arrivals run by lazy-source catch-up\n",
+				res.ElidedArrivals, res.SimEvents)
+		}
 	}
 	if *asJSON {
 		raw, err := res.MarshalSummaryJSON()

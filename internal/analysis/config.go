@@ -41,7 +41,9 @@ type Config struct {
 	HotPathFuncs []string
 	// HotPathRoots names additional hot-path entry points per package, as
 	// "Func" or "Type.Method" — the scheduler's dispatch loop, the
-	// timing-wheel and burst-train kernels, the packet pool's get/put.
+	// timing-wheel and burst-train kernels, the packet pool's get/put, the
+	// traffic sources' event and catch-up paths, the TCP sender's entry
+	// points.
 	// hotpathalloc seeds its per-package reachability closure from these
 	// plus every HotPathFuncs-named method in a SimPackage.
 	HotPathRoots map[string][]string
@@ -131,11 +133,15 @@ var Default = Config{
 			"Scheduler.Step", "Scheduler.Run", "Scheduler.RunAll",
 			"Scheduler.At", "Scheduler.After", "Scheduler.AtCall", "Scheduler.AfterCall",
 			"Scheduler.AtOn", "Scheduler.AfterOn", "Scheduler.AtCallOn", "Scheduler.AfterCallOn",
-			"Scheduler.InjectAt", "Scheduler.Cancel",
+			"Scheduler.InjectAt", "Scheduler.AtOrdinal", "Scheduler.Cancel",
 			"Timer.Reset", "Timer.ResetAt", "Timer.Stop", "Timer.fire",
 			"Train.Add", "Train.fire",
 		},
 		"tcpburst/internal/packet": {"Pool.Get", "Pool.Put"},
+		// Source events, lazy-arrival catch-up and exact re-arm, and the
+		// sender's per-arrival and per-ACK entry points.
+		"tcpburst/internal/traffic": {"driver.fire", "driver.CatchUp", "driver.Drained"},
+		"tcpburst/internal/tcp":     {"Sender.Submit", "Sender.Receive"},
 	},
 	CorePackage:      "tcpburst/internal/core",
 	CmdPackagePrefix: "tcpburst/cmd/",

@@ -4,7 +4,8 @@
 // root. Roots are the per-event method names (Send/Recv/Enqueue/Dequeue/
 // OnEvent) plus the explicit per-package entries in Config.HotPathRoots:
 // the scheduler's dispatch loop, the timing-wheel and burst-train kernels,
-// the packet pool's get/put.
+// the packet pool's get/put, the traffic sources' event and catch-up
+// paths, the TCP sender's Submit/Receive.
 //
 // Flagged site classes:
 //

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
+
+	"tcpburst/internal/telemetry"
 )
 
 // TestBatchingMatchesUnbatched is the burst-train determinism contract:
@@ -96,7 +100,145 @@ func TestBatchingShardedParetoBursts(t *testing.T) {
 	}
 }
 
-func compareBatchedUnbatched(t *testing.T, cfg Config) {
+// TestBatchingMatchesUnbatchedBacklogged covers lazy arrivals where they
+// act: overloaded cells whose senders stay backlogged, so sources go
+// dormant, are caught up on every ACK and timeout, and re-arm whenever a
+// window opens wide enough to drain the buffer.
+func TestBatchingMatchesUnbatchedBacklogged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("overload equivalence cells are slow")
+	}
+	pareto := overloadConfig(Reno, RED)
+	pareto.Traffic = TrafficParetoOnOff
+	pareto.MeanOnTime = 10 * time.Millisecond
+	pareto.MeanOffTime = 20 * time.Millisecond
+	cells := map[string]Config{
+		"reno/fifo":        overloadConfig(Reno, FIFO),
+		"vegas/red":        overloadConfig(Vegas, RED),
+		"pareto/reno/red":  pareto,
+		"sack/fifo/jitter": withJitter(overloadConfig(Sack, FIFO)),
+	}
+	for name, cfg := range cells {
+		cfg := cfg
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			batched, unbatched := compareBatchedUnbatched(t, cfg)
+			requireElided(t, batched, unbatched)
+		})
+	}
+}
+
+// TestBatchingMatchesUnbatchedTelemetry streams telemetry from an
+// overloaded cell with batching on and off and compares the streams byte
+// for byte: every tick must see the caught-up app.generated count and the
+// credited sim.events count.
+//
+// The cell keeps its access and reverse buffers below the serialization
+// pipeline's provisioning guarantee. A pipelined link credits each elided
+// serialize-done event when the packet is delivered, not at its own
+// instant, so mid-run sim.events samples lag the per-event count by the
+// packets in propagation (the final SimEvents is exact); that would mask
+// what this test pins.
+func TestBatchingMatchesUnbatchedTelemetry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("overload telemetry equivalence is slow")
+	}
+	run := func(disable bool) (string, *Result) {
+		var stream bytes.Buffer
+		cfg := overloadConfig(Reno, FIFO)
+		cfg.AccessBufferPackets = 15
+		cfg.Duration = time.Second
+		cfg.TelemetryInterval = 10 * time.Millisecond
+		cfg.TelemetrySink = telemetry.NewJSONL(&stream)
+		cfg.DisableBatching = disable
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("Run(disable=%v): %v", disable, err)
+		}
+		return stream.String(), res
+	}
+	batched, bres := run(false)
+	unbatched, ures := run(true)
+	requireElided(t, bres, ures)
+	if batched != unbatched {
+		bl, ul := strings.Split(batched, "\n"), strings.Split(unbatched, "\n")
+		for i := range bl {
+			if i < len(ul) && bl[i] != ul[i] {
+				t.Errorf("telemetry streams differ at row %d:\nbatched:   %s\nunbatched: %s", i, bl[i], ul[i])
+				break
+			}
+		}
+	}
+	if !strings.Contains(batched, "app.generated") {
+		t.Errorf("stream lacks app.generated")
+	}
+}
+
+// TestBatchingShardedOverload replays an overloaded cell on two shards:
+// sources live on the client shard and catch up there, and the result
+// must match the serial per-event run.
+func TestBatchingShardedOverload(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sharded overload replay is slow")
+	}
+	serial := overloadConfig(Reno, FIFO)
+	serial.DisableBatching = true
+	want, err := Run(serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := overloadConfig(Reno, FIFO)
+	sharded.Shards = 2
+	got, err := Run(sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireElided(t, got, want)
+	if w, g := summaryJSON(t, want), summaryJSON(t, got); w != g {
+		t.Errorf("2-shard batched run diverges from serial per-event run:\nwant: %s\ngot:  %s", w, g)
+	}
+}
+
+// overloadConfig is the equivalence matrix's backlogged regime: 200
+// clients at a 1 ms mean interval, about 50x the bottleneck.
+func overloadConfig(p Protocol, q GatewayQueue) Config {
+	cfg := DefaultConfig(200, p, q)
+	cfg.MeanInterval = time.Millisecond
+	cfg.Duration = 2 * time.Second
+	return cfg
+}
+
+// withJitter spreads the clients' access delays so their ACKs stop
+// arriving in lockstep.
+func withJitter(cfg Config) Config {
+	cfg.ClientDelayJitter = 5 * time.Millisecond
+	return cfg
+}
+
+// requireElided checks that lazy sources actually went dormant in the
+// batched run and never in the per-event one.
+func requireElided(t *testing.T, batched, unbatched *Result) {
+	t.Helper()
+	if batched.ElidedArrivals == 0 {
+		t.Error("batched run elided no arrivals: the cell never exercised dormant sources")
+	}
+	if unbatched.ElidedArrivals != 0 {
+		t.Errorf("per-event run elided %d arrivals", unbatched.ElidedArrivals)
+	}
+}
+
+func summaryJSON(t *testing.T, r *Result) string {
+	t.Helper()
+	s := r.Summary()
+	s.SchemaVersion = 0
+	raw, err := json.Marshal(s)
+	if err != nil {
+		t.Fatalf("marshal summary: %v", err)
+	}
+	return string(raw)
+}
+
+func compareBatchedUnbatched(t *testing.T, cfg Config) (batchedRes, unbatchedRes *Result) {
 	t.Helper()
 	batched := cfg
 	batched.DisableBatching = false
@@ -106,7 +248,7 @@ func compareBatchedUnbatched(t *testing.T, cfg Config) {
 	}
 	unbatched := cfg
 	unbatched.DisableBatching = true
-	unbatchedRes, err := Run(unbatched)
+	unbatchedRes, err = Run(unbatched)
 	if err != nil {
 		t.Fatalf("unbatched run: %v", err)
 	}
@@ -123,6 +265,7 @@ func compareBatchedUnbatched(t *testing.T, cfg Config) {
 		t.Errorf("batched and unbatched summaries differ:\nbatched:   %s\nunbatched: %s",
 			batchedSum, unbatchedSum)
 	}
+	return batchedRes, unbatchedRes
 }
 
 // TestBatchingMatchesUnbatchedParkingLot extends the contract to the

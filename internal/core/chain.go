@@ -447,7 +447,9 @@ func RunParkingLotContext(ctx context.Context, cfg ChainConfig) (*ChainResult, e
 				f.udpS, f.udpK = sender, sink
 				src = sender
 			}
-			gen, err := buildGenerator(base, clientSched, rng.Fork(streamOff+int64(i)), src, telemetry.Counter{})
+			// Every chain link lane is drawn before the client groups, so
+			// a source lane drawn here already sorts after all of them.
+			gen, err := buildGenerator(base, clientSched, rng.Fork(streamOff+int64(i)), lanes.Next(), src, telemetry.Counter{})
 			if err != nil {
 				return nil, err
 			}
@@ -504,6 +506,11 @@ func RunParkingLotContext(ctx context.Context, cfg ChainConfig) (*ChainResult, e
 		return nil, fmt.Errorf("run parking lot: %w", runErr)
 	}
 
+	for _, g := range [][]*chainFlow{longFlows, hop1Flows, hop2Flows} {
+		for _, f := range g {
+			f.gen.Stop()
+		}
+	}
 	res := &ChainResult{SchemaVersion: SummarySchemaVersion, Config: cfg}
 	for _, s := range scheds {
 		res.SimEvents += s.Fired()

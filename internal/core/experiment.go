@@ -165,6 +165,11 @@ type Result struct {
 	// ops-per-event reduction the batching bench reports. Not part of the
 	// Summary (it is an implementation cost, not simulation behavior).
 	SchedOps uint64
+	// ElidedArrivals counts source events that lazy arrival processes
+	// executed by catch-up instead of through the scheduler (they are
+	// included in SimEvents). Like SchedOps it is an implementation cost,
+	// not part of the Summary.
+	ElidedArrivals uint64
 
 	// Telemetry carries the registry's final counter/gauge/histogram state
 	// when Config.TelemetryInterval was set; nil otherwise.
@@ -400,6 +405,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	res.Queue = summarizeQueue(queueSamples, cfg.BufferPackets)
 	res.PacketLog = pktLog
 	res.SimEvents = 0
+	for _, f := range flows {
+		res.ElidedArrivals += f.gen.Elided()
+	}
 	for _, s := range env.scheds {
 		res.SimEvents += s.Fired()
 		res.SchedOps += s.ScheduledOps()
@@ -541,6 +549,10 @@ func buildClients(
 	flows := make([]*flow, 0, cfg.Clients)
 	accessLinks := make([]*link.Link, 0, cfg.Clients)
 	reverseLinks := make([]*link.Link, 0, cfg.Clients)
+	// Each client's generator destination and RNG stream, forked in the
+	// client loop so the fork order is unchanged.
+	srcs := make([]transport.Source, 0, cfg.Clients)
+	rngs := make([]*sim.RNG, 0, cfg.Clients)
 
 	srvSched := env.scheds[env.place.srv]
 	srvPool := env.pools[env.place.srv]
@@ -676,19 +688,29 @@ func buildClients(
 			src = sender
 		}
 
-		gen, err := buildGenerator(cfg, sched, rng.Fork(int64(i+1)), src, tel.appGenerated)
+		srcs = append(srcs, src)
+		rngs = append(rngs, rng.Fork(int64(i+1)))
+		flows = append(flows, f)
+	}
+	// Sources draw their lanes after every link lane, so at an equal
+	// instant an arrival sorts after any link event (as it did on the
+	// default lane) and before every default-lane event.
+	for i, f := range flows {
+		cs := env.place.client[i]
+		gen, err := buildGenerator(cfg, env.scheds[cs], rngs[i], env.lanes.Next(), srcs[i], env.tels[cs].appGenerated)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		f.gen = gen
-		flows = append(flows, f)
 	}
 	return flows, accessLinks, reverseLinks, nil
 }
 
 // buildGenerator constructs one client's workload source per the traffic
-// model.
-func buildGenerator(cfg Config, sched *sim.Scheduler, rng *sim.RNG, dst transport.Source, generated telemetry.Counter) (traffic.Generator, error) {
+// model, on its own lane. Unless batching is disabled the source goes
+// dormant while a TCP sender holds a backlog.
+func buildGenerator(cfg Config, sched *sim.Scheduler, rng *sim.RNG, lane *sim.Lane, dst transport.Source, generated telemetry.Counter) (traffic.Generator, error) {
+	lazy := !cfg.DisableBatching
 	switch cfg.Traffic {
 	case TrafficParetoOnOff:
 		// Derive the in-burst interval so the long-run mean rate still
@@ -707,6 +729,8 @@ func buildGenerator(cfg Config, sched *sim.Scheduler, rng *sim.RNG, dst transpor
 			Sched:          sched,
 			RNG:            rng,
 			Generated:      generated,
+			Lane:           lane,
+			Lazy:           lazy,
 		})
 	default:
 		return traffic.NewPoisson(traffic.PoissonConfig{
@@ -715,6 +739,8 @@ func buildGenerator(cfg Config, sched *sim.Scheduler, rng *sim.RNG, dst transpor
 			Sched:        sched,
 			RNG:          rng,
 			Generated:    generated,
+			Lane:         lane,
+			Lazy:         lazy,
 		})
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"tcpburst/internal/stats"
 	"tcpburst/internal/tcp"
 	"tcpburst/internal/telemetry"
+	"tcpburst/internal/traffic"
 )
 
 // telem bundles one run's telemetry registry with the preregistered handle
@@ -172,6 +173,19 @@ func (t *telem) start(cfg Config, env probeEnv) error {
 	if err != nil {
 		return fmt.Errorf("telemetry: %w", err)
 	}
+	// app.generated and sim.events must count the arrivals a dormant
+	// source holds back; catch up this shard's sources before each read.
+	var gens []traffic.Generator
+	for i, f := range env.flows {
+		if env.clientShard[i] == env.shard {
+			gens = append(gens, f.gen)
+		}
+	}
+	sampler.BeforeSample(func() {
+		for _, g := range gens {
+			g.CatchUp()
+		}
+	})
 	if err := sampler.Start(); err != nil {
 		return fmt.Errorf("telemetry: %w", err)
 	}

@@ -2,7 +2,6 @@ package queue
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 	"strconv"
 	"strings"
@@ -90,15 +89,6 @@ func (s Spec) String() string {
 		sb.WriteString(s.Params[k])
 	}
 	return sb.String()
-}
-
-// Clone deep-copies the spec so callers can hold one without aliasing the
-// parser's map.
-func (s Spec) Clone() Spec {
-	if s.Params == nil {
-		return s
-	}
-	return Spec{Name: s.Name, Params: maps.Clone(s.Params)}
 }
 
 // params is the typed, error-accumulating reader factories use to pull

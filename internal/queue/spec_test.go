@@ -91,19 +91,6 @@ func TestSpecStringCanonical(t *testing.T) {
 	}
 }
 
-func TestSpecClone(t *testing.T) {
-	orig, err := ParseSpec("red?ecn=true")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := orig.Clone()
-	cl.Params["ecn"] = "false"
-	cl.Params["gentle"] = "true"
-	if orig.Params["ecn"] != "true" || len(orig.Params) != 1 {
-		t.Errorf("Clone aliased the original: %v", orig.Params)
-	}
-}
-
 // TestREDSettings checks the RED reader both backends share: absent keys
 // take the paper-era defaults, given keys override them, other
 // disciplines report !ok, and a bad or unknown key is an error.

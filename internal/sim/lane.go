@@ -59,6 +59,12 @@ func (l *Lane) Take() uint64 {
 	return o
 }
 
+// issued reports whether ord is an ordinal this lane has already handed
+// out.
+func (l *Lane) issued(ord uint64) bool {
+	return ord < l.next && ord >= l.limit-1<<laneSeqBits
+}
+
 // ID returns the lane's identifier (its position in allocation order).
 func (l *Lane) ID() uint64 { return l.next >> laneSeqBits }
 

@@ -111,6 +111,7 @@ func eventLess(a, b *eventSlot) bool {
 // closure, which the compiler must heap-allocate per call.
 type Scheduler struct {
 	now      Time
+	curOrd   uint64 // ordinal of the event executing now (see CurrentKey)
 	defLane  Lane
 	slots    []eventSlot
 	freeHead int32 // first free slot index, -1 when none
@@ -180,6 +181,14 @@ func (s *Scheduler) ScheduledOps() uint64 { return s.scheduled }
 // equivalence argument.
 func (s *Scheduler) CreditFired() { s.fired++ }
 
+// CurrentKey returns the (time, ordinal) key of the event executing now —
+// inside a burst train, of the train element executing now. Outside any
+// event, after a Run that reached its horizon, it is (horizon, MaxUint64):
+// every event at or before the horizon has executed. An elided event
+// whose key precedes CurrentKey is one per-event execution would already
+// have fired; lazy arrival processes catch up to it (internal/traffic).
+func (s *Scheduler) CurrentKey() (Time, uint64) { return s.now, s.curOrd }
+
 // At schedules fn to run at instant t on the scheduler's default lane.
 // Scheduling in the past is a programming error and returns the zero
 // Handle without scheduling.
@@ -235,6 +244,22 @@ func (s *Scheduler) AfterCallOn(lane *Lane, d Duration, fn func(any), arg any) H
 		d = 0
 	}
 	return s.AtCallOn(lane, s.now.Add(d), fn, arg)
+}
+
+// AtOrdinal schedules fn at (t, ord), where ord is an ordinal the caller
+// drew from lane earlier with Take. It is the exact re-arm of an event
+// that was held back instead of filed: the event pops at the key it would
+// have held had it been scheduled when its ordinal was drawn. An ordinal
+// the lane never issued panics; an instant in the past returns the zero
+// Handle, as At does.
+func (s *Scheduler) AtOrdinal(lane *Lane, t Time, ord uint64, fn func()) Handle {
+	if !lane.issued(ord) {
+		panic("sim: AtOrdinal with an ordinal its lane never issued")
+	}
+	if t < s.now || fn == nil {
+		return Handle{}
+	}
+	return s.scheduleOrd(t, ord, fn, nil, nil)
 }
 
 // InjectAt schedules fn(arg) at instant t under a caller-supplied ordinal.
@@ -519,7 +544,7 @@ func (s *Scheduler) Step() bool {
 		return false
 	}
 	sl := &s.slots[idx]
-	s.now = t
+	s.now, s.curOrd = t, sl.ord
 	fn, afn, arg := sl.fn, sl.afn, sl.arg
 	s.freeSlot(idx)
 	s.fired++
@@ -531,9 +556,13 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
+// maxOrd is the CurrentKey ordinal at a Run's horizon: above every ordinal
+// a lane issues, so each event at the horizon instant precedes it.
+const maxOrd = ^uint64(0)
+
 // Run executes events until the horizon is passed, the event queue drains,
-// or Stop is called. The clock finishes at min(horizon, last event time)
-// unless stopped. Events scheduled exactly at the horizon still fire.
+// or Stop is called. The clock finishes at the horizon unless stopped.
+// Events scheduled exactly at the horizon still fire.
 //
 // The loop pops directly instead of peeking first (nextTime + Step would
 // scan the wheel twice per event); the one event found beyond the horizon
@@ -556,11 +585,11 @@ func (s *Scheduler) Run(horizon Time) error {
 		}
 		if t > horizon {
 			s.refile(idx)
-			s.now = horizon
+			s.now, s.curOrd = horizon, maxOrd
 			return nil
 		}
 		sl := &s.slots[idx]
-		s.now = t
+		s.now, s.curOrd = t, sl.ord
 		fn, afn, arg := sl.fn, sl.afn, sl.arg
 		s.freeSlot(idx)
 		s.fired++
@@ -570,9 +599,7 @@ func (s *Scheduler) Run(horizon Time) error {
 			afn(arg)
 		}
 	}
-	if s.now < horizon {
-		s.now = horizon
-	}
+	s.now, s.curOrd = horizon, maxOrd
 	return nil
 }
 

@@ -127,7 +127,7 @@ func (tr *Train) fire() {
 			break
 		}
 		e = tr.pop()
-		s.now = e.at
+		s.now, s.curOrd = e.at, e.ord
 		s.fired++
 		tr.fn(e.arg)
 	}

@@ -385,3 +385,65 @@ func TestLazyTimerStopSwallowsStalePop(t *testing.T) {
 		t.Errorf("Fired() = %d, want 1 (stale pop must be uncounted)", got)
 	}
 }
+
+// TestCurrentKeyTracksExecutingEvent pins the key lazy arrival processes
+// catch up to: the popped event's key, each chained train element's own
+// key, and (horizon, MaxUint64) once a Run reaches its horizon.
+func TestCurrentKeyTracksExecutingEvent(t *testing.T) {
+	s := NewScheduler()
+	lanes := NewLanes()
+	lane := lanes.Next()
+	type key struct {
+		at  Time
+		ord uint64
+	}
+	var seen []key
+	tr := NewTrain(s, lane, func(any) {
+		at, ord := s.CurrentKey()
+		seen = append(seen, key{at, ord})
+	})
+	ms := func(n int) Time { return TimeZero.Add(time.Duration(n) * time.Millisecond) }
+	tr.Add(ms(1), nil)
+	tr.Add(ms(2), nil) // chains inline behind the head
+	if err := s.Run(ms(5)); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	base := uint64(0) // lane 0's first ordinal
+	want := []key{{ms(1), base}, {ms(2), base + 1}}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Errorf("keys seen by train elements = %v, want %v", seen, want)
+	}
+	if ops := s.ScheduledOps(); ops != 1 {
+		t.Errorf("train filed %d events, want 1 (the second element must chain inline)", ops)
+	}
+	if at, ord := s.CurrentKey(); at != ms(5) || ord != ^uint64(0) {
+		t.Errorf("CurrentKey after Run = (%v, %d), want (%v, MaxUint64)", at, ord, ms(5))
+	}
+}
+
+// TestAtOrdinalRearmsAtDrawnKey checks that an event filed late under an
+// ordinal drawn earlier pops exactly where it would have, and that an
+// ordinal the lane never issued is rejected.
+func TestAtOrdinalRearmsAtDrawnKey(t *testing.T) {
+	s := NewScheduler()
+	lanes := NewLanes()
+	early, late := lanes.Next(), lanes.Next()
+	var order []string
+	at := TimeZero.Add(time.Millisecond)
+	ord := late.Take() // drawn now, filed later
+	s.AtOn(early, at, func() { order = append(order, "early") })
+	s.At(at, func() { order = append(order, "default") })
+	s.AtOrdinal(late, at, ord, func() { order = append(order, "late") })
+	if err := s.RunAll(); err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	if got := fmt.Sprint(order); got != "[early late default]" {
+		t.Errorf("order = %s, want [early late default]", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AtOrdinal accepted an ordinal its lane never issued")
+		}
+	}()
+	s.AtOrdinal(late, at, ord+1, func() {})
+}

@@ -81,11 +81,15 @@ type Sender struct {
 
 	rtxTimer *sim.Timer
 	counters Counters
+
+	// feeder is the application source when it may go dormant behind the
+	// backlog; nil when every arrival is its own event.
+	feeder transport.Feeder
 }
 
 var (
-	_ transport.Source = (*Sender)(nil)
-	_ transport.Agent  = (*Sender)(nil)
+	_ transport.Backlogged = (*Sender)(nil)
+	_ transport.Agent      = (*Sender)(nil)
 )
 
 // windowRingSize returns the power-of-two ring capacity covering a
@@ -166,6 +170,28 @@ func (s *Sender) StateBytes() int {
 	return int(senderStructBytes) + len(s.segs)*int(segmentBytes) + len(s.sacked)*8
 }
 
+// SetFeeder attaches a source that stops scheduling arrivals while the
+// sender is backlogged. Window state changes only in Receive and
+// onTimeout; both catch the feeder up before changing it and tell it when
+// the backlog drains.
+func (s *Sender) SetFeeder(f transport.Feeder) { s.feeder = f }
+
+// catchUp brings a dormant feeder's arrivals up to the current event.
+func (s *Sender) catchUp() {
+	if s.feeder != nil {
+		s.feeder.CatchUp()
+	}
+}
+
+// sendAndWake runs trySend and re-arms a dormant feeder when the backlog
+// is gone.
+func (s *Sender) sendAndWake() {
+	s.trySend()
+	if s.feeder != nil && s.sndNxt == s.submitted {
+		s.feeder.Drained()
+	}
+}
+
 // Submit adds one application packet to the send buffer and transmits as
 // much as the window permits.
 func (s *Sender) Submit() {
@@ -181,6 +207,7 @@ func (s *Sender) Receive(p *packet.Packet) {
 		s.cfg.Pool.Put(p)
 		return
 	}
+	s.catchUp()
 	s.counters.AcksReceived++
 	if s.sacked != nil {
 		for _, b := range p.SACK {
@@ -218,7 +245,7 @@ func (s *Sender) Receive(p *packet.Packet) {
 	// the window so the pool can hand the slot to the packets trySend
 	// emits.
 	s.cfg.Pool.Put(p)
-	s.trySend()
+	s.sendAndWake()
 }
 
 // window returns the effective send window in whole packets.
@@ -427,6 +454,7 @@ func (s *Sender) onTimeout() {
 	if s.FlightSize() <= 0 {
 		return
 	}
+	s.catchUp()
 	s.counters.Timeouts++
 	s.cfg.Metrics.Timeouts.Inc()
 	if s.backoff < 64 {
@@ -437,7 +465,7 @@ func (s *Sender) onTimeout() {
 	// Go-back-N: everything past snd_una is presumed lost and will be
 	// resent as the window reopens.
 	s.sndNxt = s.sndUna
-	s.trySend()
+	s.sendAndWake()
 	if s.FlightSize() > 0 {
 		s.rtxTimer.Reset(s.currentRTO())
 	}

@@ -19,6 +19,7 @@ type Sampler struct {
 	sink     Sink
 
 	tickFn  func() // prebound s.tick; a method value would allocate per schedule
+	prepare func() // runs before each snapshot; nil when unset
 	pending sim.Handle
 	running bool
 	values  []float64
@@ -64,6 +65,11 @@ func (s *Sampler) Start() error {
 	return nil
 }
 
+// BeforeSample installs fn to run before each snapshot reads the
+// registry — the hook that brings lazily computed state (dormant arrival
+// processes) up to the sample instant.
+func (s *Sampler) BeforeSample(fn func()) { s.prepare = fn }
+
 // Sample takes one snapshot at the current virtual time. Duplicate calls
 // at the same instant (e.g. a final sample landing on a tick boundary) are
 // skipped, keeping timestamps strictly increasing.
@@ -74,6 +80,9 @@ func (s *Sampler) Sample() {
 	now := s.sched.Now().Seconds()
 	if s.sampled && now == s.lastT {
 		return
+	}
+	if s.prepare != nil {
+		s.prepare()
 	}
 	s.values = s.reg.Snapshot(s.values)
 	if err := s.sink.Record(now, s.values); err != nil {

@@ -29,19 +29,20 @@ type ParetoOnOffConfig struct {
 	// Generated, when attached, counts every emitted packet into the
 	// telemetry registry; the zero handle is a no-op.
 	Generated telemetry.Counter
+	// Lane and Lazy are as in PoissonConfig.
+	Lane *sim.Lane
+	Lazy bool
 }
 
-// ParetoOnOff is a heavy-tailed on/off packet source.
+// ParetoOnOff is a heavy-tailed on/off packet source. Its source events
+// are burst starts and in-burst emissions; the emission that finds the
+// burst over generates nothing and schedules the next burst start.
 type ParetoOnOff struct {
-	cfg          ParetoOnOffConfig
-	running      bool
-	on           bool
-	burstEnds    sim.Time
-	pending      sim.Handle
-	emitFn       func() // prebound g.emit
-	beginBurstFn func() // prebound g.beginBurst
-	generated    uint64
-	bursts       uint64
+	driver
+	cfg       ParetoOnOffConfig
+	on        bool
+	burstEnds sim.Time
+	bursts    uint64
 }
 
 var _ Generator = (*ParetoOnOff)(nil)
@@ -62,31 +63,13 @@ func NewParetoOnOff(cfg ParetoOnOffConfig) (*ParetoOnOff, error) {
 		return nil, fmt.Errorf("pareto: nil scheduler")
 	case cfg.RNG == nil:
 		return nil, fmt.Errorf("pareto: nil RNG")
+	case cfg.Lazy && cfg.Lane == nil:
+		return nil, fmt.Errorf("pareto: lazy source needs a lane")
 	}
 	g := &ParetoOnOff{cfg: cfg}
-	g.emitFn = g.emit
-	g.beginBurstFn = g.beginBurst
+	g.init(g, cfg.Sched, cfg.Lane, cfg.Lazy, cfg.Dst, cfg.Generated)
 	return g, nil
 }
-
-// Start begins with an off period so sources started together desynchronize.
-func (g *ParetoOnOff) Start() {
-	if g.running {
-		return
-	}
-	g.running = true
-	g.scheduleOff()
-}
-
-// Stop cancels any pending emission or state change.
-func (g *ParetoOnOff) Stop() {
-	g.running = false
-	g.cfg.Sched.Cancel(g.pending)
-	g.pending = sim.Handle{}
-}
-
-// Generated returns the number of packets produced so far.
-func (g *ParetoOnOff) Generated() uint64 { return g.generated }
 
 // Bursts returns the number of on periods begun.
 func (g *ParetoOnOff) Bursts() uint64 { return g.bursts }
@@ -102,31 +85,22 @@ func (g *ParetoOnOff) paretoDuration(mean sim.Duration) sim.Duration {
 	return d
 }
 
-func (g *ParetoOnOff) scheduleOff() {
+// first begins with an off period so sources started together
+// desynchronize.
+func (g *ParetoOnOff) first() sim.Duration {
 	g.on = false
-	g.pending = g.cfg.Sched.After(g.paretoDuration(g.cfg.MeanOff), g.beginBurstFn)
+	return g.paretoDuration(g.cfg.MeanOff)
 }
 
-func (g *ParetoOnOff) beginBurst() {
-	if !g.running {
-		return
+func (g *ParetoOnOff) step(now sim.Time) (bool, sim.Duration) {
+	if !g.on {
+		g.on = true
+		g.bursts++
+		g.burstEnds = now.Add(g.paretoDuration(g.cfg.MeanOn))
 	}
-	g.on = true
-	g.bursts++
-	g.burstEnds = g.cfg.Sched.Now().Add(g.paretoDuration(g.cfg.MeanOn))
-	g.emit()
-}
-
-func (g *ParetoOnOff) emit() {
-	if !g.running || !g.on {
-		return
+	if now.After(g.burstEnds) {
+		g.on = false
+		return false, g.paretoDuration(g.cfg.MeanOff)
 	}
-	if g.cfg.Sched.Now().After(g.burstEnds) {
-		g.scheduleOff()
-		return
-	}
-	g.generated++
-	g.cfg.Generated.Inc()
-	g.cfg.Dst.Submit()
-	g.pending = g.cfg.Sched.After(g.cfg.PacketInterval, g.emitFn)
+	return true, g.cfg.PacketInterval
 }

@@ -17,10 +17,17 @@ import (
 type Generator interface {
 	// Start begins generating at the current instant.
 	Start()
-	// Stop ceases generation; safe to call more than once.
+	// Stop catches up to the current instant and ceases generation; safe
+	// to call more than once.
 	Stop()
 	// Generated returns the number of application packets produced.
 	Generated() uint64
+	// CatchUp executes the source events a dormant source holds back
+	// that precede the event executing now (a no-op when not dormant).
+	CatchUp()
+	// Elided returns the source events executed by catch-up instead of
+	// by the scheduler.
+	Elided() uint64
 }
 
 // PoissonConfig describes a Poisson packet source.
@@ -37,16 +44,21 @@ type PoissonConfig struct {
 	// Generated, when attached, counts every emitted packet into the
 	// telemetry registry; the zero handle is a no-op.
 	Generated telemetry.Counter
+	// Lane, when set, is the source's private ordinal stream; nil files
+	// events on the scheduler's default lane.
+	Lane *sim.Lane
+	// Lazy lets the source go dormant while Dst reports a backlog (see
+	// driver.go). It requires Lane; a Dst that is not a
+	// transport.Backlogged keeps the source eager.
+	Lazy bool
 }
 
 // Poisson emits single packets with exponentially distributed
 // inter-generation times.
 type Poisson struct {
-	cfg       PoissonConfig
-	running   bool
-	pending   sim.Handle
-	emitFn    func() // prebound g.emit; a method value would allocate per schedule
-	generated uint64
+	driver
+	mean sim.Duration
+	rng  *sim.RNG
 }
 
 var _ Generator = (*Poisson)(nil)
@@ -63,43 +75,18 @@ func NewPoisson(cfg PoissonConfig) (*Poisson, error) {
 		return nil, fmt.Errorf("poisson: nil scheduler")
 	case cfg.RNG == nil:
 		return nil, fmt.Errorf("poisson: nil RNG")
+	case cfg.Lazy && cfg.Lane == nil:
+		return nil, fmt.Errorf("poisson: lazy source needs a lane")
 	}
-	g := &Poisson{cfg: cfg}
-	g.emitFn = g.emit
+	g := &Poisson{mean: cfg.MeanInterval, rng: cfg.RNG}
+	g.init(g, cfg.Sched, cfg.Lane, cfg.Lazy, cfg.Dst, cfg.Generated)
 	return g, nil
 }
 
-// Start schedules the first packet one exponential interval from now.
-func (g *Poisson) Start() {
-	if g.running {
-		return
-	}
-	g.running = true
-	g.scheduleNext()
-}
+func (g *Poisson) first() sim.Duration { return g.rng.ExpDuration(g.mean) }
 
-// Stop cancels any pending generation.
-func (g *Poisson) Stop() {
-	g.running = false
-	g.cfg.Sched.Cancel(g.pending)
-	g.pending = sim.Handle{}
-}
-
-// Generated returns the number of packets produced so far.
-func (g *Poisson) Generated() uint64 { return g.generated }
-
-func (g *Poisson) scheduleNext() {
-	g.pending = g.cfg.Sched.After(g.cfg.RNG.ExpDuration(g.cfg.MeanInterval), g.emitFn)
-}
-
-func (g *Poisson) emit() {
-	if !g.running {
-		return
-	}
-	g.generated++
-	g.cfg.Generated.Inc()
-	g.cfg.Dst.Submit()
-	g.scheduleNext()
+func (g *Poisson) step(sim.Time) (bool, sim.Duration) {
+	return true, g.rng.ExpDuration(g.mean)
 }
 
 // CBRConfig describes a constant-bit-rate source.
@@ -113,15 +100,15 @@ type CBRConfig struct {
 	// Generated, when attached, counts every emitted packet into the
 	// telemetry registry; the zero handle is a no-op.
 	Generated telemetry.Counter
+	// Lane and Lazy are as in PoissonConfig.
+	Lane *sim.Lane
+	Lazy bool
 }
 
 // CBR emits packets at a fixed interval.
 type CBR struct {
-	cfg       CBRConfig
-	running   bool
-	pending   sim.Handle
-	emitFn    func() // prebound g.emit
-	generated uint64
+	driver
+	interval sim.Duration
 }
 
 var _ Generator = (*CBR)(nil)
@@ -136,37 +123,14 @@ func NewCBR(cfg CBRConfig) (*CBR, error) {
 		return nil, fmt.Errorf("cbr: nil destination")
 	case cfg.Sched == nil:
 		return nil, fmt.Errorf("cbr: nil scheduler")
+	case cfg.Lazy && cfg.Lane == nil:
+		return nil, fmt.Errorf("cbr: lazy source needs a lane")
 	}
-	g := &CBR{cfg: cfg}
-	g.emitFn = g.emit
+	g := &CBR{interval: cfg.Interval}
+	g.init(g, cfg.Sched, cfg.Lane, cfg.Lazy, cfg.Dst, cfg.Generated)
 	return g, nil
 }
 
-// Start schedules the first packet one interval from now.
-func (g *CBR) Start() {
-	if g.running {
-		return
-	}
-	g.running = true
-	g.pending = g.cfg.Sched.After(g.cfg.Interval, g.emitFn)
-}
+func (g *CBR) first() sim.Duration { return g.interval }
 
-// Stop cancels any pending generation.
-func (g *CBR) Stop() {
-	g.running = false
-	g.cfg.Sched.Cancel(g.pending)
-	g.pending = sim.Handle{}
-}
-
-// Generated returns the number of packets produced so far.
-func (g *CBR) Generated() uint64 { return g.generated }
-
-func (g *CBR) emit() {
-	if !g.running {
-		return
-	}
-	g.generated++
-	g.cfg.Generated.Inc()
-	g.cfg.Dst.Submit()
-	g.pending = g.cfg.Sched.After(g.cfg.Interval, g.emitFn)
-}
+func (g *CBR) step(sim.Time) (bool, sim.Duration) { return true, g.interval }

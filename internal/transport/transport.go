@@ -26,3 +26,28 @@ type Source interface {
 type Agent interface {
 	Receive(p *packet.Packet)
 }
+
+// Backlogged is a Source that can hold submitted packets it has not yet
+// transmitted — a window-limited sender. While its backlog is nonempty an
+// application arrival changes nothing but the backlog, so the source
+// feeding it may stop scheduling arrivals and catch up on demand.
+type Backlogged interface {
+	Source
+	// Backlog returns packets submitted but not yet transmitted.
+	Backlog() int64
+	// SetFeeder attaches the source that feeds this transport. From then
+	// on the transport calls f.CatchUp before it acts on its send buffer
+	// and f.Drained whenever doing so leaves the buffer empty.
+	SetFeeder(f Feeder)
+}
+
+// Feeder is an application source that may go dormant while its
+// Backlogged destination holds a backlog.
+type Feeder interface {
+	// CatchUp submits every arrival per-event execution would already
+	// have delivered by the event executing now.
+	CatchUp()
+	// Drained reports that the backlog is empty: a dormant feeder files
+	// its next arrival again.
+	Drained()
+}
