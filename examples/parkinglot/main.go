@@ -5,10 +5,10 @@
 // flows, (b) how Vegas vs Reno changes it, and (c) that TCP-induced
 // burstiness appears at both gateways.
 //
-// Run with: go run ./examples/parkinglot [-shards 2]
+// Run with: go run ./examples/parkinglot [-shards K]
 //
-// -shards 2 splits each run at the inter-gateway cut onto two
-// schedulers (bit-identical results; see DESIGN.md §11).
+// -shards K runs each experiment on K schedulers (bit-identical results;
+// see DESIGN.md §11).
 package main
 
 import (
@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	shards := flag.Int("shards", 0, "schedulers per run (0 or 1 serial; 2 splits at the inter-gateway cut)")
+	shards := flag.Int("shards", 0, "schedulers per run (0 or 1 serial)")
 	flag.Parse()
 
 	fmt.Println("Two-bottleneck parking lot: 20 long + 20 per-hop cross clients")

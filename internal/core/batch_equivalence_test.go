@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -269,8 +270,8 @@ func compareBatchedUnbatched(t *testing.T, cfg Config) (batchedRes, unbatchedRes
 }
 
 // TestBatchingMatchesUnbatchedParkingLot extends the contract to the
-// two-hop topology, whose chain links and cross-traffic sinks have
-// their own train wiring and whose shard-window edges split trains.
+// two-hop topology, whose gateway-to-gateway links and cross-traffic sinks
+// exercise routes the dumbbell does not.
 func TestBatchingMatchesUnbatchedParkingLot(t *testing.T) {
 	base := DefaultConfig(1, Reno, FIFO)
 	base.Duration = 2 * time.Second
@@ -284,13 +285,28 @@ func TestBatchingMatchesUnbatchedParkingLot(t *testing.T) {
 			Base:     b,
 		}
 	}
-	batched, err := RunParkingLot(mk(false))
+	batched, bnet, err := runParkingLot(context.Background(), mk(false))
 	if err != nil {
 		t.Fatalf("batched run: %v", err)
 	}
-	unbatched, err := RunParkingLot(mk(true))
+	unbatched, unet, err := runParkingLot(context.Background(), mk(true))
 	if err != nil {
 		t.Fatalf("unbatched run: %v", err)
+	}
+	// Equal results prove nothing if batching never engaged: the batched
+	// run must file fewer scheduler ops, and its TCP client links must
+	// pipeline serialization.
+	if bnet.schedOps >= unet.schedOps {
+		t.Errorf("batched run filed %d scheduler ops, unbatched %d; want fewer", bnet.schedOps, unet.schedOps)
+	}
+	pipelined := 0
+	for _, l := range bnet.links {
+		if l.Pipelined() && l.Stats().Departures > 0 {
+			pipelined++
+		}
+	}
+	if pipelined == 0 {
+		t.Error("no parking-lot link ran pipelined")
 	}
 	// Blank out the configs (they differ in the debug flag by design).
 	batched.Config = ChainConfig{}

@@ -2,20 +2,11 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"tcpburst/internal/link"
-	"tcpburst/internal/node"
 	"tcpburst/internal/packet"
-	"tcpburst/internal/queue"
-	"tcpburst/internal/shard"
 	"tcpburst/internal/sim"
 	"tcpburst/internal/stats"
-	"tcpburst/internal/tcp"
-	"tcpburst/internal/telemetry"
-	"tcpburst/internal/traffic"
-	"tcpburst/internal/transport"
 )
 
 // The parking-lot topology generalizes the paper's single gateway to a
@@ -44,21 +35,20 @@ type ChainConfig struct {
 	Seed     int64
 	Duration sim.Duration
 	// Base supplies link rates, delays, buffer sizes, packet sizes and
-	// traffic parameters (Clients/Protocol/Gateway fields are ignored).
+	// traffic parameters, and is validated like a dumbbell Config of
+	// LongClients+Hop1Clients+Hop2Clients clients (its own Clients,
+	// Protocol and Gateway fields are ignored).
 	Base Config
 	// Shards runs the topology across this many schedulers (0 or 1:
-	// serial; 2: split at the hop-1 wire — gw1 and its attached clients
-	// against everything downstream). The parking lot has exactly one
-	// inter-gateway cut, so 2 is the maximum. Inherits Base.Shards when
-	// zero. Sharded runs are bit-identical to serial ones (the chain
-	// golden digests are replayed at 2 shards), so like Config.Shards the
-	// field is excluded from JSON and cache keys.
+	// serial), placed by the same rule as Config.Shards. Inherits
+	// Base.Shards when zero. Sharded runs are bit-identical to serial ones
+	// (the chain golden digest is replayed at 2 and 4 shards), so like
+	// Config.Shards the field is excluded from JSON and cache keys.
 	Shards int `json:"-"`
 }
 
 // withDefaults fills the embedded base config.
 func (c ChainConfig) withDefaults() ChainConfig {
-	c.Base.Clients = 1 // placate base validation; not used directly
 	if c.Protocol == 0 {
 		c.Protocol = Reno
 	}
@@ -75,10 +65,16 @@ func (c ChainConfig) withDefaults() ChainConfig {
 	if c.Shards == 0 {
 		c.Shards = c.Base.Shards
 	}
-	// The chain validates its own shard count against its own topology;
-	// the dumbbell rules in Base.Validate do not apply.
-	c.Base.Shards = 0
 	return c
+}
+
+// base is the Config the chain is built and validated under: Base with the
+// chain's own client total, seed, duration and shard count.
+func (c ChainConfig) base() Config {
+	b := c.Base
+	b.Clients = c.LongClients + c.Hop1Clients + c.Hop2Clients
+	b.Seed, b.Duration, b.Shards = c.Seed, c.Duration, c.Shards
+	return b
 }
 
 // validate reports the first configuration error.
@@ -88,14 +84,8 @@ func (c ChainConfig) validate() error {
 		return fmt.Errorf("chain: long clients %d < 1", c.LongClients)
 	case c.Hop1Clients < 0 || c.Hop2Clients < 0:
 		return fmt.Errorf("chain: negative cross-traffic counts")
-	case c.Duration <= 0:
-		return fmt.Errorf("chain: duration %v <= 0", c.Duration)
-	case c.Shards < 0 || c.Shards > 2:
-		return fmt.Errorf("chain: shards %d unsupported; the parking lot has one inter-gateway cut, so use at most 2", c.Shards)
-	case c.Shards == 2 && c.Base.BottleneckDelay <= 0:
-		return fmt.Errorf("chain: sharding requires a positive bottleneck delay (it bounds the lookahead window)")
 	}
-	return c.Base.Validate()
+	return c.base().Validate()
 }
 
 // ChainGroupResult aggregates one client group's outcome.
@@ -130,29 +120,6 @@ type ChainResult struct {
 	SimEvents uint64
 }
 
-// chainFlow is one client's bundle in the chain experiment.
-type chainFlow struct {
-	gen  traffic.Generator
-	send *tcp.Sender
-	sink *tcp.Sink
-	udpS *transport.UDPSender
-	udpK *transport.UDPSink
-}
-
-func (f *chainFlow) delivered() uint64 {
-	if f.sink != nil {
-		return f.sink.Delivered()
-	}
-	return f.udpK.Delivered()
-}
-
-func (f *chainFlow) timeouts() uint64 {
-	if f.send != nil {
-		return f.send.Counters().Timeouts
-	}
-	return 0
-}
-
 // RunParkingLot executes the two-hop experiment.
 func RunParkingLot(cfg ChainConfig) (*ChainResult, error) {
 	return RunParkingLotContext(context.Background(), cfg)
@@ -161,382 +128,112 @@ func RunParkingLot(cfg ChainConfig) (*ChainResult, error) {
 // RunParkingLotContext is RunParkingLot with cancellation, polled from
 // inside the event loop exactly as in RunContext.
 func RunParkingLotContext(ctx context.Context, cfg ChainConfig) (*ChainResult, error) {
+	res, _, err := runParkingLot(ctx, cfg)
+	return res, err
+}
+
+// runParkingLot runs the experiment and also returns the built network,
+// through which tests inspect kernel and link state.
+func runParkingLot(ctx context.Context, cfg ChainConfig) (*ChainResult, *network, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	base := cfg.Base
+	base := cfg.base()
 
-	// Shard plan (DESIGN.md §11): the parking lot's only inter-gateway
-	// wire is hop 1 (gw1⇄gw2), so the two-shard cut places gw1 and every
-	// client attached to it upstream (shard 0), and gw2, the server,
-	// exit1 and the hop-2 clients downstream (shard 1). The long and
-	// hop-1 clients' sinks live on the downstream hosts, so they use the
-	// downstream kernel and pool. Serial runs use one scheduler (and one
-	// pool) for both roles. The two crossing links draw lanes in both
-	// modes — lane allocation order is part of the canonical event order
-	// and must not depend on the shard count.
-	const (
-		upShard   = 0
-		downShard = 1
-	)
-	k := cfg.Shards
-	if k < 1 {
-		k = 1
+	// Addresses: gw1 0, server 1, exit1 2 (hop-1 cross traffic's
+	// destination at gw2), gw2 3, then the long, hop-1 and hop-2 clients.
+	// Each host sends on its first link: the server and exit1 return ACKs
+	// over server->gw2 and exit1->gw2.
+	g := &graph{}
+	gw1, server, exit1, gw2 := g.node(true), g.node(false), g.node(false), g.node(true)
+	wire := func(name string, from, to int) glink {
+		return glink{name: name, from: from, to: to, rateBps: base.BottleneckRateBps,
+			delay: base.BottleneckDelay, buffer: base.AccessBufferPackets}
 	}
-	scheds := make([]*sim.Scheduler, k)
-	for i := range scheds {
-		scheds[i] = sim.NewScheduler()
-	}
-	up, down := scheds[0], scheds[k-1]
-	var group *shard.Group
-	if k == 2 {
-		group = shard.NewGroup(scheds, base.BottleneckDelay)
-	}
-	lanes := sim.NewLanes()
-	rng := sim.NewRNG(cfg.Seed)
-
-	var poolUp, poolDown *packet.Pool
-	if !base.DisablePacketPool {
-		poolUp = packet.NewPool()
-		poolDown = poolUp
-		if k == 2 {
-			poolDown = packet.NewPool()
-		}
-	}
-
-	const (
-		serverAddr2 packet.Addr = 1 // final server behind hop 2
-		exit1Addr   packet.Addr = 2 // hop-1 cross traffic's destination at gw2
-	)
-	server := node.NewHost(serverAddr2)
-	server.SetPool(poolDown)
-	exit1 := node.NewHost(exit1Addr)
-	exit1.SetPool(poolDown)
-	gw1 := node.NewGateway(10)
-	gw1.SetPool(poolUp)
-	gw2 := node.NewGateway(11)
-	gw2.SetPool(poolDown)
-
-	// xdel builds a cross-shard delivery hook, or nil when serial: the
-	// crossing is buffered by the barrier and injected into the
-	// destination kernel with the link lane's ordinal, exactly where the
-	// serial schedule would have placed it.
-	xdel := func(src, dst int, deliver func(any)) func(sim.Time, uint64, *packet.Packet) {
-		if group == nil {
-			return nil
-		}
-		return func(at sim.Time, ord uint64, p *packet.Packet) {
-			group.Cross(src, dst, at, ord, deliver, p)
-		}
-	}
-	gw1Deliver := func(arg any) { gw1.Receive(arg.(*packet.Packet)) }
-	gw2Deliver := func(arg any) { gw2.Receive(arg.(*packet.Packet)) }
-
-	mkBottleneckQ := func(stream int64, evictTo *packet.Pool) (queue.Discipline, error) {
-		chainCfg := base
-		q, err := buildGatewayQueue(chainCfg, rng.Fork(stream), &telem{})
-		if drr, ok := q.(*queue.DRR); ok {
-			drr.OnEvict(evictTo.Put)
-		}
-		return q, err
-	}
-	q1, err := mkBottleneckQ(1<<23, poolUp)
-	if err != nil {
-		return nil, err
-	}
-	q2, err := mkBottleneckQ(1<<24, poolDown)
-	if err != nil {
-		return nil, err
-	}
-
-	hop1, err := link.New(up, link.Config{
-		Name: "gw1->gw2", RateBps: base.BottleneckRateBps,
-		Delay: base.BottleneckDelay, Queue: q1, Dst: gw2, Pool: poolUp,
-		Lane:     lanes.Next(),
-		XDeliver: xdel(upShard, downShard, gw2Deliver),
-
-		DisableBatching: base.DisableBatching,
-	})
-	if err != nil {
-		return nil, err
-	}
-	hop2, err := link.New(down, link.Config{
-		Name: "gw2->server", RateBps: base.BottleneckRateBps,
-		Delay: base.BottleneckDelay, Queue: q2, Dst: server, Pool: poolDown,
-
-		DisableBatching: base.DisableBatching,
-	})
-	if err != nil {
-		return nil, err
-	}
+	hop1, hop2 := wire("gw1->gw2", gw1, gw2), wire("gw2->server", gw2, server)
+	hop1.discipline, hop1.stream = true, 1<<23
+	hop2.discipline, hop2.stream = true, 1<<24
+	hop1L, hop2L := g.link(hop1), g.link(hop2)
 	// Reverse path: server -> gw2 -> gw1, amply provisioned.
-	rev2, err := link.New(down, link.Config{
-		Name: "server->gw2", RateBps: base.BottleneckRateBps,
-		Delay: base.BottleneckDelay, Queue: queue.NewFIFO(base.AccessBufferPackets), Dst: gw2, Pool: poolDown,
-
-		DisableBatching: base.DisableBatching,
-	})
+	g.link(wire("server->gw2", server, gw2))
+	rev1 := g.link(wire("gw2->gw1", gw2, gw1))
+	g.link(wire("exit1->gw2", exit1, gw2))
+	toExit1 := wire("gw2->exit1", gw2, exit1)
+	toExit1.rateBps, toExit1.delay = base.ClientRateBps, base.ClientDelay
+	g.route(gw1, server, hop1L)
+	g.route(gw1, exit1, hop1L)
+	g.route(gw2, server, hop2L)
+	g.route(gw2, exit1, g.link(toExit1))
+	// ACKs returning to long and hop-1 clients arrive at gw2 and continue
+	// toward gw1.
+	for i := 0; i < cfg.LongClients; i++ {
+		g.route(gw2, g.client(base, gw1, server, cfg.Protocol, 1000+int64(i)), rev1)
+	}
+	for i := 0; i < cfg.Hop1Clients; i++ {
+		g.route(gw2, g.client(base, gw1, exit1, cfg.Protocol, 2000+int64(i)), rev1)
+	}
+	for i := 0; i < cfg.Hop2Clients; i++ {
+		g.client(base, gw2, server, cfg.Protocol, 3000+int64(i))
+	}
+	net, err := build(base, g)
 	if err != nil {
-		return nil, err
-	}
-	rev1, err := link.New(down, link.Config{
-		Name: "gw2->gw1", RateBps: base.BottleneckRateBps,
-		Delay: base.BottleneckDelay, Queue: queue.NewFIFO(base.AccessBufferPackets), Dst: gw1, Pool: poolDown,
-		Lane:     lanes.Next(),
-		XDeliver: xdel(downShard, upShard, gw1Deliver),
-
-		DisableBatching: base.DisableBatching,
-	})
-	if err != nil {
-		return nil, err
-	}
-	revExit, err := link.New(down, link.Config{
-		Name: "exit1->gw2", RateBps: base.BottleneckRateBps,
-		Delay: base.BottleneckDelay, Queue: queue.NewFIFO(base.AccessBufferPackets), Dst: gw2, Pool: poolDown,
-
-		DisableBatching: base.DisableBatching,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Forward local delivery from gw2 to exit1.
-	toExit1, err := link.New(down, link.Config{
-		Name: "gw2->exit1", RateBps: base.ClientRateBps,
-		Delay: base.ClientDelay, Queue: queue.NewFIFO(base.AccessBufferPackets), Dst: exit1, Pool: poolDown,
-
-		DisableBatching: base.DisableBatching,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Static routes: data forward, ACKs back.
-	if err := gw1.AddRoute(serverAddr2, hop1); err != nil {
-		return nil, err
-	}
-	if err := gw1.AddRoute(exit1Addr, hop1); err != nil {
-		return nil, err
-	}
-	if err := gw2.AddRoute(serverAddr2, hop2); err != nil {
-		return nil, err
-	}
-	if err := gw2.AddRoute(exit1Addr, toExit1); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Measurement taps at both bottlenecks.
 	rttWindow := 2 * (2*base.ClientDelay + 2*base.BottleneckDelay)
 	wc1, err := stats.NewWindowCounter(rttWindow)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	wc2, err := stats.NewWindowCounter(rttWindow)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	wc1.Open(sim.TimeZero)
 	wc2.Open(sim.TimeZero)
-	hop1.OnArrival(func(now sim.Time, p *packet.Packet) {
+	net.links[hop1L].OnArrival(func(now sim.Time, p *packet.Packet) {
 		if p.IsData() {
 			wc1.Observe(now)
 		}
 	})
-	hop2.OnArrival(func(now sim.Time, p *packet.Packet) {
+	net.links[hop2L].OnArrival(func(now sim.Time, p *packet.Packet) {
 		if p.IsData() {
 			wc2.Observe(now)
 		}
 	})
 
-	// Client construction. Addresses are dense so gateway routing tables
-	// are small indexed slices: long clients directly after the fixed
-	// nodes, then hop-1, then hop-2. Flow ids are globally unique and
-	// equally dense.
-	longAddrOff := exit1Addr + 1
-	hop1AddrOff := longAddrOff + packet.Addr(cfg.LongClients)
-	hop2AddrOff := hop1AddrOff + packet.Addr(cfg.Hop1Clients)
-	nextFlow := packet.FlowID(1)
-	// buildGroup wires one client group. The clients (hosts, access and
-	// reverse links, senders, generators) live on clientSched's shard; the
-	// sinks live with their destination host on down's shard, which is
-	// also where the group's serverOut link runs.
-	buildGroup := func(
-		n int,
-		addrOff packet.Addr,
-		attach *node.Gateway,
-		attachRev func(addr packet.Addr, l *link.Link) error,
-		dstAddr packet.Addr,
-		dstHost *node.Host,
-		serverOut *link.Link,
-		streamOff int64,
-		clientSched *sim.Scheduler,
-		clientPool *packet.Pool,
-	) ([]*chainFlow, error) {
-		flows := make([]*chainFlow, 0, n)
-		for i := 0; i < n; i++ {
-			addr := addrOff + packet.Addr(i)
-			flowID := nextFlow
-			nextFlow++
-			host := node.NewHost(addr)
-			host.SetPool(clientPool)
-			access, err := link.New(clientSched, link.Config{
-				Name: fmt.Sprintf("c%d->gw", int(flowID)), RateBps: base.ClientRateBps,
-				Delay: base.ClientDelay, Queue: queue.NewFIFO(base.AccessBufferPackets), Dst: attach, Pool: clientPool,
-
-				DisableBatching: base.DisableBatching,
-			})
-			if err != nil {
-				return nil, err
-			}
-			reverse, err := link.New(clientSched, link.Config{
-				Name: fmt.Sprintf("gw->c%d", int(flowID)), RateBps: base.ClientRateBps,
-				Delay: base.ClientDelay, Queue: queue.NewFIFO(base.AccessBufferPackets), Dst: host, Pool: clientPool,
-
-				DisableBatching: base.DisableBatching,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if err := attachRev(addr, reverse); err != nil {
-				return nil, err
-			}
-
-			f := &chainFlow{}
-			var src transport.Source
-			if cfg.Protocol.IsTCP() {
-				tcpCfg := tcp.Config{
-					Flow: flowID, Src: addr, Dst: dstAddr,
-					Variant:    cfg.Protocol.TCPVariant(),
-					PacketSize: base.PacketSize, AckSize: base.AckSize,
-					MaxWindow: base.MaxWindow, MinRTO: base.MinRTO,
-					DelayedAcks:       cfg.Protocol == RenoDelayAck,
-					DelayedAckTimeout: base.DelayedAckTimeout,
-					Vegas:             base.Vegas, Sched: clientSched, Pool: clientPool,
-					DisableBatching: base.DisableBatching,
-				}
-				sendCfg := tcpCfg
-				sendCfg.Out = access
-				sender, err := tcp.NewSender(sendCfg)
-				if err != nil {
-					return nil, err
-				}
-				sinkCfg := tcpCfg
-				sinkCfg.Out = serverOut
-				sinkCfg.Sched = down
-				sinkCfg.Pool = poolDown
-				sink, err := tcp.NewSink(sinkCfg)
-				if err != nil {
-					return nil, err
-				}
-				host.Bind(flowID, sender)
-				dstHost.Bind(flowID, sink)
-				f.send, f.sink = sender, sink
-				src = sender
-			} else {
-				sender, err := transport.NewUDPSender(transport.UDPConfig{
-					Flow: flowID, Src: addr, Dst: dstAddr,
-					PacketSize: base.PacketSize, Out: access, Pool: clientPool,
-				})
-				if err != nil {
-					return nil, err
-				}
-				sink := transport.NewUDPSink()
-				sink.SetPool(poolDown)
-				host.Bind(flowID, sender)
-				dstHost.Bind(flowID, sink)
-				f.udpS, f.udpK = sender, sink
-				src = sender
-			}
-			// Every chain link lane is drawn before the client groups, so
-			// a source lane drawn here already sorts after all of them.
-			gen, err := buildGenerator(base, clientSched, rng.Fork(streamOff+int64(i)), lanes.Next(), src, telemetry.Counter{})
-			if err != nil {
-				return nil, err
-			}
-			f.gen = gen
-			flows = append(flows, f)
-		}
-		return flows, nil
-	}
-
-	longFlows, err := buildGroup(cfg.LongClients, longAddrOff, gw1, gw1.AddRoute, serverAddr2, server, rev2, 1000, up, poolUp)
-	if err != nil {
-		return nil, err
-	}
-	hop1Flows, err := buildGroup(cfg.Hop1Clients, hop1AddrOff, gw1, gw1.AddRoute, exit1Addr, exit1, revExit, 2000, up, poolUp)
-	if err != nil {
-		return nil, err
-	}
-	hop2Flows, err := buildGroup(cfg.Hop2Clients, hop2AddrOff, gw2, gw2.AddRoute, serverAddr2, server, rev2, 3000, down, poolDown)
-	if err != nil {
-		return nil, err
-	}
-
-	// ACKs returning to long and hop-1 clients arrive at gw2 and must
-	// continue toward gw1.
-	for i := 0; i < cfg.LongClients; i++ {
-		if err := gw2.AddRoute(longAddrOff+packet.Addr(i), rev1); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < cfg.Hop1Clients; i++ {
-		if err := gw2.AddRoute(hop1AddrOff+packet.Addr(i), rev1); err != nil {
-			return nil, err
-		}
-	}
-
-	for _, g := range [][]*chainFlow{longFlows, hop1Flows, hop2Flows} {
-		for _, f := range g {
-			f.gen.Start()
-		}
-	}
-	watchContext(ctx, scheds[0])
-
 	horizon := sim.TimeZero.Add(cfg.Duration)
-	var runErr error
-	if group != nil {
-		runErr = group.Run(horizon)
-	} else {
-		runErr = scheds[0].Run(horizon)
-	}
-	if runErr != nil {
-		if errors.Is(runErr, sim.ErrStopped) && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("run parking lot: %w", runErr)
+	if err := net.run(ctx, horizon); err != nil {
+		return nil, nil, err
 	}
 
-	for _, g := range [][]*chainFlow{longFlows, hop1Flows, hop2Flows} {
-		for _, f := range g {
-			f.gen.Stop()
-		}
-	}
-	res := &ChainResult{SchemaVersion: SummarySchemaVersion, Config: cfg}
-	for _, s := range scheds {
-		res.SimEvents += s.Fired()
-	}
-	res.Long = summarizeChainGroup(longFlows)
-	res.Hop1 = summarizeChainGroup(hop1Flows)
-	res.Hop2 = summarizeChainGroup(hop2Flows)
+	res := &ChainResult{SchemaVersion: SummarySchemaVersion, Config: cfg, SimEvents: net.simEvents}
+	long, cross := cfg.LongClients, cfg.LongClients+cfg.Hop1Clients
+	res.Long = summarizeChainGroup(net.flows[:long])
+	res.Hop1 = summarizeChainGroup(net.flows[long:cross])
+	res.Hop2 = summarizeChainGroup(net.flows[cross:])
 	c1 := stats.Summarize(wc1.Close(horizon))
 	c2 := stats.Summarize(wc2.Close(horizon))
 	res.COVHop1, res.COVHop2 = c1.COV(), c2.COV()
-	res.DropsHop1 = hop1.Stats().Drops
-	res.DropsHop2 = hop2.Stats().Drops
+	res.DropsHop1 = net.links[hop1L].Stats().Drops
+	res.DropsHop2 = net.links[hop2L].Stats().Drops
 	if total := res.Long.Delivered + res.Hop2.Delivered; total > 0 {
 		res.LongShareHop2 = float64(res.Long.Delivered) / float64(total)
 	}
-	return res, nil
+	return res, net, nil
 }
 
-func summarizeChainGroup(flows []*chainFlow) ChainGroupResult {
+func summarizeChainGroup(flows []*flow) ChainGroupResult {
 	g := ChainGroupResult{Clients: len(flows)}
 	delivered := make([]float64, 0, len(flows))
 	for _, f := range flows {
-		g.Generated += f.gen.Generated()
-		g.Delivered += f.delivered()
-		g.Timeouts += f.timeouts()
-		delivered = append(delivered, float64(f.delivered()))
+		fr := f.result()
+		g.Generated += fr.Generated
+		g.Delivered += fr.Delivered
+		g.Timeouts += fr.Counters.Timeouts
+		delivered = append(delivered, float64(fr.Delivered))
 	}
 	g.PerFlowJain = stats.JainIndex(delivered)
 	return g

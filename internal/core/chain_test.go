@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -11,6 +12,9 @@ func TestChainValidation(t *testing.T) {
 	}
 	if _, err := RunParkingLot(ChainConfig{LongClients: 1, Hop1Clients: -1}); err == nil {
 		t.Error("negative cross traffic accepted")
+	}
+	if _, err := RunParkingLot(ChainConfig{LongClients: 2, Hop1Clients: 1, Shards: 8}); err == nil || !strings.Contains(err.Error(), "shards") {
+		t.Errorf("8 shards for a 3-client chain: err = %v, want a shard-count error", err)
 	}
 }
 

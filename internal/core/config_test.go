@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -191,4 +192,51 @@ func TestDefaultSweepClientsIncludesCrossover(t *testing.T) {
 			t.Fatalf("sweep clients not strictly increasing: %v", clients)
 		}
 	}
+}
+
+// FuzzConfigJSON feeds arbitrary JSON through the path every CLI and cache
+// entry takes — decode, WithDefaults, Validate — which must never panic.
+// A config that validates must also run: cut to a few clients, a short
+// horizon and bounded per-run cost, Run must complete without error. The
+// seed corpus (testdata/fuzz/FuzzConfigJSON) holds the golden-table
+// configs.
+func FuzzConfigJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cfg Config
+		if json.Unmarshal(data, &cfg) != nil {
+			return
+		}
+		cfg = cfg.WithDefaults()
+		if cfg.Validate() != nil {
+			return
+		}
+		// Bound the run's cost: these knobs size per-run allocations or
+		// the event count, and the fuzzer can push any of them to
+		// extremes that are valid but take minutes.
+		if cfg.Clients > 4 {
+			cfg.Clients, cfg.Mix, cfg.TraceClients = 4, nil, nil
+		}
+		cfg.Shards = min(cfg.Shards, cfg.Clients)
+		cfg.Duration = min(cfg.Duration, 100*time.Millisecond)
+		cfg.Warmup = 0
+		cfg.MeanInterval = max(cfg.MeanInterval, time.Millisecond)
+		// The c.o.v. bins are one RTT wide.
+		cfg.ClientDelay = max(cfg.ClientDelay, 100*time.Microsecond)
+		cfg.BottleneckDelay = max(cfg.BottleneckDelay, 100*time.Microsecond)
+		cfg.MeanOffTime = min(cfg.MeanOffTime, cfg.MeanOnTime)
+		cfg.MaxWindow = min(cfg.MaxWindow, 64)
+		cfg.PacketLogCapacity = min(cfg.PacketLogCapacity, 64)
+		if cfg.TelemetryInterval > 0 {
+			cfg.TelemetryInterval = max(cfg.TelemetryInterval, time.Millisecond)
+		}
+		if cfg.CwndSampleInterval > 0 {
+			cfg.CwndSampleInterval = max(cfg.CwndSampleInterval, time.Millisecond)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("clamped config no longer validates: %v", err)
+		}
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("validated config failed to run: %v", err)
+		}
+	})
 }

@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"tcpburst/internal/link"
-	"tcpburst/internal/node"
 	"tcpburst/internal/packet"
 	"tcpburst/internal/queue"
 	"tcpburst/internal/sim"
@@ -17,14 +15,6 @@ import (
 	"tcpburst/internal/trace"
 	"tcpburst/internal/traffic"
 	"tcpburst/internal/transport"
-)
-
-// Node addressing: the server is address 1; client i (0-based) is 100+i.
-const (
-	serverAddr packet.Addr = 1
-	// clientAddrOff packs client addresses directly after the server so
-	// the gateway routing table is a dense slice indexed by address.
-	clientAddrOff packet.Addr = 2
 )
 
 // FlowResult captures one client stream's outcome.
@@ -220,107 +210,14 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return runFluidContext(ctx, cfg)
 	}
 
-	// One scheduler, packet pool, and telemetry registry per shard (one of
-	// each when serial). The serial and sharded builds share every code
-	// path below: RNG forks and lane allocations happen in build order, so
-	// a single build sequence is what keeps the two modes bit-identical.
-	env := newBuildEnv(cfg)
-	place := env.place
-	rng := sim.NewRNG(cfg.Seed)
-
-	// sched/pool/tel of the gateway shard, where the bottleneck, its taps,
-	// the queue probe, and the context watchdog live.
-	sched := env.scheds[place.gw]
-	pool := env.pools[place.gw]
-	tel := env.tels[place.gw]
-
-	server := node.NewHost(serverAddr)
-	server.SetPool(env.pools[place.srv])
-	gateway := node.NewGateway(0)
-	gateway.SetPool(pool)
-	// gwDeliver executes a gateway delivery on whatever shard the barrier
-	// routes it to; the routing table is immutable after build and every
-	// egress link lives on its packet's destination shard.
-	gwDeliver := func(arg any) { gateway.Receive(arg.(*packet.Packet)) }
-	env.wireGatewayCrossings(gwDeliver)
-
-	// Bottleneck gateway→server link with the discipline under study.
-	bottleneckQ, err := buildGatewayQueue(cfg, rng, tel)
+	net, err := build(cfg, dumbbell(cfg))
 	if err != nil {
 		return nil, err
 	}
-	if drr, ok := bottleneckQ.(*queue.DRR); ok {
-		// Longest-queue eviction consumes the displaced packet inside the
-		// discipline; reclaim it there.
-		drr.OnEvict(pool.Put)
-	}
-	bottleneckLinkCfg := link.Config{
-		Name:     "gw->server",
-		RateBps:  cfg.BottleneckRateBps,
-		Delay:    cfg.BottleneckDelay,
-		Queue:    bottleneckQ,
-		Dst:      server,
-		Pool:     pool,
-		Metrics:  tel.link,
-		Lane:     env.lanes.Next(),
-		XDeliver: env.xDeliverTo(place.gw, place.srv, func(arg any) { server.Receive(arg.(*packet.Packet)) }),
-
-		DisableBatching: cfg.DisableBatching,
-	}
-	if cfg.WireLossProb > 0 {
-		bottleneckLinkCfg.LossProb = cfg.WireLossProb
-		bottleneckLinkCfg.LossRNG = rng.Fork(1 << 21)
-	}
-	bottleneck, err := link.New(sched, bottleneckLinkCfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := gateway.AddRoute(serverAddr, bottleneck); err != nil {
-		return nil, err
-	}
-
-	// Reverse bottleneck server→gateway for acknowledgments; the paper
-	// keeps it uncongested, but its rate and buffer are overridable for
-	// ACK-compression studies.
-	reverseRate := cfg.BottleneckRateBps
-	if cfg.ReverseRateBps > 0 {
-		reverseRate = cfg.ReverseRateBps
-	}
-	reverseBuf := cfg.AccessBufferPackets
-	if cfg.ReverseBufferPackets > 0 {
-		reverseBuf = cfg.ReverseBufferPackets
-	}
-	// The shared ACK-return link can never fill when ACKs drain at least
-	// as fast as the data that clocks them: every data packet reaches the
-	// server through the single bottleneck serializer, so sink ACKs are
-	// spaced at least one data serialization apart, and with ACK
-	// serialization no slower the queue never holds more than a couple of
-	// ACKs. Delayed ACKs break the clocking — every flow's ACK timer can
-	// flush on the same instant — so the guarantee needs per-arrival acking
-	// throughout (and a little capacity slack for ties at the boundary).
-	serverOutOverprov := reverseBuf >= 16 &&
-		sim.SerializationDelay(cfg.AckSize, reverseRate) <= sim.SerializationDelay(cfg.PacketSize, cfg.BottleneckRateBps)
-	for i := 0; serverOutOverprov && i < cfg.Clients; i++ {
-		if cfg.clientProtocol(i) == RenoDelayAck {
-			serverOutOverprov = false
-		}
-	}
-	serverOut, err := link.New(env.scheds[place.srv], link.Config{
-		Name:     "server->gw",
-		RateBps:  reverseRate,
-		Delay:    cfg.BottleneckDelay,
-		Queue:    queue.NewFIFO(reverseBuf),
-		Dst:      gateway,
-		Pool:     env.pools[place.srv],
-		Lane:     env.lanes.Next(),
-		XDeliver: env.xDeliverToClient(gwDeliver),
-
-		DisableBatching: cfg.DisableBatching,
-		Overprovisioned: serverOutOverprov,
-	})
-	if err != nil {
-		return nil, err
-	}
+	bottleneck := net.links[0]
+	// Gateways are placed on shard 0, so the bottleneck, its taps and the
+	// queue probe run there.
+	sched, tel := net.scheds[0], net.tels[0]
 
 	// The paper's measurement point: data packets entering the gateway,
 	// binned per round-trip propagation delay.
@@ -349,13 +246,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	})
 
-	flows, accessLinks, reverseLinks, err := buildClients(cfg, env, rng, gateway, server, serverOut)
-	if err != nil {
-		return nil, err
-	}
-
 	// Always-on queue-occupancy probe (10 ms grain); read-only, so it
-	// cannot perturb the experiment. Lives on the gateway shard.
+	// cannot perturb the experiment.
 	queueSamples := make([]float64, 0, int(cfg.Duration/(10*time.Millisecond))+1)
 	var sampleQueue func()
 	sampleQueue = func() {
@@ -364,68 +256,101 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	sched.After(10*time.Millisecond, sampleQueue)
 
-	sampler, cwndSeries, queueSeries, err := buildTracing(cfg, sched, flows, bottleneck)
+	sampler, cwndSeries, queueSeries, err := buildTracing(cfg, sched, net.flows, bottleneck)
 	if err != nil {
 		return nil, err
 	}
-	rings, err := startTelemetry(cfg, env, bottleneck, flows)
+	rings, err := startTelemetry(cfg, net, bottleneck)
 	if err != nil {
 		return nil, err
-	}
-
-	for _, f := range flows {
-		f.gen.Start()
 	}
 	if sampler != nil {
 		sampler.Start()
 	}
 
-	watchContext(ctx, sched)
-
 	horizon := sim.TimeZero.Add(cfg.Duration)
-	if env.group != nil {
-		err = env.group.Run(horizon)
-	} else {
-		err = sched.Run(horizon)
-	}
-	if err != nil {
-		if errors.Is(err, sim.ErrStopped) && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, fmt.Errorf("run experiment: %w", err)
-	}
-	for _, f := range flows {
-		f.gen.Stop()
+	if err := net.run(ctx, horizon); err != nil {
+		return nil, err
 	}
 	if sampler != nil {
 		sampler.Stop()
 	}
 
-	res := collect(cfg, flows, counter, horizon, bottleneck, serverOut, accessLinks, reverseLinks, bottleneckQ, cwndSeries, queueSeries)
+	res := collect(cfg, net.flows, counter, horizon, net.links, cwndSeries, queueSeries)
 	res.Queue = summarizeQueue(queueSamples, cfg.BufferPackets)
 	res.PacketLog = pktLog
-	res.SimEvents = 0
-	for _, f := range flows {
+	res.SimEvents, res.SchedOps = net.simEvents, net.schedOps
+	for _, f := range net.flows {
 		res.ElidedArrivals += f.gen.Elided()
 	}
-	for _, s := range env.scheds {
-		res.SimEvents += s.Fired()
-		res.SchedOps += s.ScheduledOps()
-	}
-	// Serialization-pipelined links credit elided serialize-done events at
-	// delivery; completions in flight at the horizon settle here so
-	// SimEvents counts exactly what the per-event schedule fired.
-	res.SimEvents += bottleneck.FinishVirtual(horizon) + serverOut.FinishVirtual(horizon)
-	for _, l := range accessLinks {
-		res.SimEvents += l.FinishVirtual(horizon)
-	}
-	for _, l := range reverseLinks {
-		res.SimEvents += l.FinishVirtual(horizon)
-	}
-	if err := finishTelemetry(cfg, env, rings, res); err != nil {
+	if err := finishTelemetry(cfg, net, rings, res); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// dumbbell declares the paper's Figure-1 network: gateway (address 0), the
+// server (1), the gateway→server bottleneck and its server→gateway return
+// link, then each client (2+i) with its access pair and its flow to the
+// server. collect relies on this link order.
+func dumbbell(cfg Config) *graph {
+	g := &graph{
+		nodes:  make([]gnode, 0, cfg.Clients+2),
+		links:  make([]glink, 0, 2*cfg.Clients+2),
+		routes: make([]groute, 0, cfg.Clients+1),
+		flows:  make([]gflow, 0, cfg.Clients),
+	}
+	gw := g.node(true)
+	server := g.node(false)
+	g.route(gw, server, g.link(glink{
+		name:       "gw->server",
+		from:       gw,
+		to:         server,
+		rateBps:    cfg.BottleneckRateBps,
+		delay:      cfg.BottleneckDelay,
+		discipline: true,
+		lossProb:   cfg.WireLossProb,
+		metered:    true,
+	}))
+
+	// Reverse bottleneck for acknowledgments; the paper keeps it
+	// uncongested, but its rate and buffer are overridable for
+	// ACK-compression studies.
+	reverseRate := cfg.BottleneckRateBps
+	if cfg.ReverseRateBps > 0 {
+		reverseRate = cfg.ReverseRateBps
+	}
+	reverseBuf := cfg.AccessBufferPackets
+	if cfg.ReverseBufferPackets > 0 {
+		reverseBuf = cfg.ReverseBufferPackets
+	}
+	// The shared ACK-return link can never fill when ACKs drain at least
+	// as fast as the data that clocks them: every data packet reaches the
+	// server through the single bottleneck serializer, so sink ACKs are
+	// spaced at least one data serialization apart, and with ACK
+	// serialization no slower the queue never holds more than a couple of
+	// ACKs. Delayed ACKs break the clocking — every flow's ACK timer can
+	// flush on the same instant — so the guarantee needs per-arrival acking
+	// throughout (and a little capacity slack for ties at the boundary).
+	overprov := reverseBuf >= 16 &&
+		sim.SerializationDelay(cfg.AckSize, reverseRate) <= sim.SerializationDelay(cfg.PacketSize, cfg.BottleneckRateBps)
+	for i := 0; overprov && i < cfg.Clients; i++ {
+		overprov = cfg.clientProtocol(i) != RenoDelayAck
+	}
+	g.link(glink{
+		name:     "server->gw",
+		from:     server,
+		to:       gw,
+		rateBps:  reverseRate,
+		delay:    cfg.BottleneckDelay,
+		buffer:   reverseBuf,
+		overprov: overprov,
+	})
+	for i := 0; i < cfg.Clients; i++ {
+		c := g.client(cfg, gw, server, cfg.clientProtocol(i), int64(i+1))
+		g.nodes[c].jitter = cfg.ClientDelayJitter
+	}
+	return g
 }
 
 // watchContext wires ctx into the single-threaded event loop: a recurring
@@ -488,6 +413,7 @@ func summarizeQueue(samples []float64, capacity int) QueueStats {
 type flow struct {
 	client  int // 1-based
 	proto   Protocol
+	shard   int // of the source host
 	gen     traffic.Generator
 	tcpSend *tcp.Sender          // nil for UDP
 	udpSend *transport.UDPSender // nil for TCP
@@ -511,13 +437,22 @@ func (f *flow) delays() *stats.DelayDist {
 	return f.udpSink.Delays()
 }
 
-// counters returns transport counters, synthesized for UDP.
-func (f *flow) counters() tcp.Counters {
-	if f.tcpSend != nil {
-		return f.tcpSend.Counters()
+// result returns the flow's outcome, with transport counters synthesized
+// for UDP.
+func (f *flow) result() FlowResult {
+	fr := FlowResult{
+		Client:    f.client,
+		Protocol:  f.proto,
+		Generated: f.gen.Generated(),
+		Delivered: f.delivered(),
 	}
-	sent := f.udpSend.Sent()
-	return tcp.Counters{DataSent: sent, Submitted: sent}
+	if f.tcpSend != nil {
+		fr.Counters = f.tcpSend.Counters()
+	} else {
+		sent := f.udpSend.Sent()
+		fr.Counters = tcp.Counters{DataSent: sent, Submitted: sent}
+	}
+	return fr
 }
 
 // buildGatewayQueue constructs the bottleneck discipline through the
@@ -532,178 +467,6 @@ func buildGatewayQueue(cfg Config, rng *sim.RNG, tel *telem) (queue.Discipline, 
 		RNG:            func() *sim.RNG { return rng.Fork(1 << 20) },
 		Metrics:        tel.queue,
 	})
-}
-
-// buildClients wires every client host, its access links, transport agents,
-// and Poisson source. Each client's sender-side components live on its
-// shard; the sink side (receiver, delayed-ACK timers, reverse bottleneck
-// egress) lives on the server shard. Serial runs collapse both to shard 0.
-func buildClients(
-	cfg Config,
-	env *buildEnv,
-	rng *sim.RNG,
-	gateway *node.Gateway,
-	server *node.Host,
-	serverOut *link.Link,
-) ([]*flow, []*link.Link, []*link.Link, error) {
-	flows := make([]*flow, 0, cfg.Clients)
-	accessLinks := make([]*link.Link, 0, cfg.Clients)
-	reverseLinks := make([]*link.Link, 0, cfg.Clients)
-	// Each client's generator destination and RNG stream, forked in the
-	// client loop so the fork order is unchanged.
-	srcs := make([]transport.Source, 0, cfg.Clients)
-	rngs := make([]*sim.RNG, 0, cfg.Clients)
-
-	srvSched := env.scheds[env.place.srv]
-	srvPool := env.pools[env.place.srv]
-	srvTel := env.tels[env.place.srv]
-
-	// Heterogeneous-RTT extension: draw per-client access delays from a
-	// dedicated stream so enabling jitter does not perturb the traffic
-	// streams.
-	var jitterRNG *sim.RNG
-	if cfg.ClientDelayJitter > 0 {
-		jitterRNG = rng.Fork(1 << 22)
-	}
-
-	for i := 0; i < cfg.Clients; i++ {
-		addr := clientAddrOff + packet.Addr(i)
-		flowID := packet.FlowID(i + 1)
-		cs := env.place.client[i]
-		sched := env.scheds[cs]
-		pool := env.pools[cs]
-		tel := env.tels[cs]
-		host := node.NewHost(addr)
-		host.SetPool(pool)
-
-		delay := cfg.ClientDelay
-		if jitterRNG != nil {
-			delay += sim.Duration(jitterRNG.Uniform(0, float64(cfg.ClientDelayJitter)))
-		}
-
-		proto := cfg.clientProtocol(i)
-		// A TCP client's access and reverse queues can never fill when the
-		// buffer dwarfs the window: in-network packets of one flow are
-		// bounded by a window of originals plus a window of go-back-N
-		// retransmission copies, so capacity ≥ 2·MaxWindow guarantees
-		// drop-free operation and unlocks the link layer's serialization
-		// pipelining. UDP clients are open-loop — nothing bounds their
-		// backlog — so their links keep the per-event path.
-		overprov := proto.IsTCP() && cfg.AccessBufferPackets >= 2*cfg.MaxWindow
-
-		access, err := link.New(sched, link.Config{
-			Name:     fmt.Sprintf("client%d->gw", i+1),
-			RateBps:  cfg.ClientRateBps,
-			Delay:    delay,
-			Queue:    queue.NewFIFO(cfg.AccessBufferPackets),
-			Dst:      gateway,
-			Pool:     pool,
-			Lane:     env.lanes.Next(),
-			XDeliver: env.crossToGw[cs],
-
-			DisableBatching: cfg.DisableBatching,
-			Overprovisioned: overprov,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		reverse, err := link.New(sched, link.Config{
-			Name:    fmt.Sprintf("gw->client%d", i+1),
-			RateBps: cfg.ClientRateBps,
-			Delay:   delay,
-			Queue:   queue.NewFIFO(cfg.AccessBufferPackets),
-			Dst:     host,
-			Pool:    pool,
-			Lane:    env.lanes.Next(),
-
-			DisableBatching: cfg.DisableBatching,
-			Overprovisioned: overprov,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if err := gateway.AddRoute(addr, reverse); err != nil {
-			return nil, nil, nil, err
-		}
-		accessLinks = append(accessLinks, access)
-		reverseLinks = append(reverseLinks, reverse)
-
-		f := &flow{client: i + 1, proto: proto}
-		var src transport.Source
-		if proto.IsTCP() {
-			tcpCfg := tcp.Config{
-				Flow:              flowID,
-				Src:               addr,
-				Dst:               serverAddr,
-				Variant:           proto.TCPVariant(),
-				PacketSize:        cfg.PacketSize,
-				AckSize:           cfg.AckSize,
-				MaxWindow:         cfg.MaxWindow,
-				MinRTO:            cfg.MinRTO,
-				DelayedAcks:       proto == RenoDelayAck,
-				DelayedAckTimeout: cfg.DelayedAckTimeout,
-				Vegas:             cfg.Vegas,
-				Sched:             sched,
-				Pool:              pool,
-				Metrics:           tel.tcp,
-				DisableBatching:   cfg.DisableBatching,
-			}
-			sendCfg := tcpCfg
-			sendCfg.Out = access
-			sender, err := tcp.NewSender(sendCfg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			sinkCfg := tcpCfg
-			sinkCfg.Out = serverOut
-			sinkCfg.Sched = srvSched
-			sinkCfg.Pool = srvPool
-			sinkCfg.Metrics = srvTel.tcp
-			sink, err := tcp.NewSink(sinkCfg)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			host.Bind(flowID, sender)
-			server.Bind(flowID, sink)
-			f.tcpSend, f.tcpSink = sender, sink
-			src = sender
-		} else {
-			sender, err := transport.NewUDPSender(transport.UDPConfig{
-				Flow:       flowID,
-				Src:        addr,
-				Dst:        serverAddr,
-				PacketSize: cfg.PacketSize,
-				Out:        access,
-				Now:        sched.Now,
-				Pool:       pool,
-			})
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			sink := transport.NewUDPSinkWithClock(srvSched.Now)
-			sink.SetPool(srvPool)
-			host.Bind(flowID, sender)
-			server.Bind(flowID, sink)
-			f.udpSend, f.udpSink = sender, sink
-			src = sender
-		}
-
-		srcs = append(srcs, src)
-		rngs = append(rngs, rng.Fork(int64(i+1)))
-		flows = append(flows, f)
-	}
-	// Sources draw their lanes after every link lane, so at an equal
-	// instant an arrival sorts after any link event (as it did on the
-	// default lane) and before every default-lane event.
-	for i, f := range flows {
-		cs := env.place.client[i]
-		gen, err := buildGenerator(cfg, env.scheds[cs], rngs[i], env.lanes.Next(), srcs[i], env.tels[cs].appGenerated)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		f.gen = gen
-	}
-	return flows, accessLinks, reverseLinks, nil
 }
 
 // buildGenerator constructs one client's workload source per the traffic
@@ -797,15 +560,14 @@ func defaultTraceClients(n int) []int {
 	}
 }
 
-// collect assembles the Result from the finished simulation.
+// collect assembles the Result from the finished simulation; links are in
+// dumbbell declaration order.
 func collect(
 	cfg Config,
 	flows []*flow,
 	counter *stats.WindowCounter,
 	horizon sim.Time,
-	bottleneck, serverOut *link.Link,
-	accessLinks, reverseLinks []*link.Link,
-	bottleneckQ queue.Discipline,
+	links []*link.Link,
 	cwndSeries []*trace.Series,
 	queueSeries *trace.Series,
 ) *Result {
@@ -841,14 +603,8 @@ func collect(
 	perProtoDelivered := make(map[Protocol][]float64)
 	res.ByProtocol = make(map[Protocol]ProtocolTotals)
 	for _, f := range flows {
-		c := f.counters()
-		fr := FlowResult{
-			Client:    f.client,
-			Protocol:  f.proto,
-			Generated: f.gen.Generated(),
-			Delivered: f.delivered(),
-			Counters:  c,
-		}
+		fr := f.result()
+		c := fr.Counters
 		res.Flows = append(res.Flows, fr)
 		res.Generated += fr.Generated
 		res.Delivered += fr.Delivered
@@ -880,15 +636,18 @@ func collect(
 	res.DelayMeanSec = delays.Mean()
 	res.DelayP95Sec = delays.P95()
 
+	bottleneck := links[0]
 	res.BottleneckDrops = bottleneck.Stats().Drops
 	res.WireLosses = bottleneck.Stats().WireLosses
-	res.ForwardDrops = res.BottleneckDrops + res.WireLosses
-	for _, l := range accessLinks {
-		res.ForwardDrops += l.Stats().Drops
-	}
-	res.AckDrops = serverOut.Stats().Drops
-	for _, l := range reverseLinks {
-		res.AckDrops += l.Stats().Drops
+	res.ForwardDrops = res.WireLosses
+	// Even links carry data (the bottleneck, then each client's access
+	// link); odd links carry ACKs.
+	for i, l := range links {
+		if i%2 == 0 {
+			res.ForwardDrops += l.Stats().Drops
+		} else {
+			res.AckDrops += l.Stats().Drops
+		}
 	}
 	if res.DataSent > 0 {
 		res.LossPct = 100 * float64(res.ForwardDrops) / float64(res.DataSent)
@@ -902,7 +661,7 @@ func collect(
 	}
 	res.JainFairness = stats.JainIndex(perFlowDelivered)
 
-	if sr, ok := bottleneckQ.(queue.StatsReporter); ok {
+	if sr, ok := bottleneck.Queue().(queue.StatsReporter); ok {
 		st := sr.DisciplineStats()
 		switch cfg.Gateway.spec().Reporting() {
 		case queue.ReportRED:

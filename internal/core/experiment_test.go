@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -230,14 +231,7 @@ func TestPacketConservation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run(%v): %v", p, err)
 		}
-		// Exact per-flow identity: every packet a source generated was
-		// submitted to its TCP sender by the end of the run.
-		for _, f := range res.Flows {
-			if f.Protocol.IsTCP() && f.Generated != f.Counters.Submitted {
-				t.Errorf("%v client %d: generated %d != submitted %d",
-					p, f.Client, f.Generated, f.Counters.Submitted)
-			}
-		}
+		checkSubmitted(t, p.String(), res.Flows)
 		if res.Delivered > res.Generated {
 			t.Errorf("%v: delivered %d > generated %d", p, res.Delivered, res.Generated)
 		}
@@ -260,6 +254,28 @@ func TestPacketConservation(t *testing.T) {
 				t.Errorf("%v: residue %d more negative than retransmissions %d",
 					p, residue, rtx)
 			}
+		}
+	}
+	_, net, err := runParkingLot(context.Background(), goldenChain(0))
+	if err != nil {
+		t.Fatalf("runParkingLot: %v", err)
+	}
+	flows := make([]FlowResult, len(net.flows))
+	for i, f := range net.flows {
+		flows[i] = f.result()
+	}
+	checkSubmitted(t, "parkinglot", flows)
+}
+
+// checkSubmitted asserts the exact per-flow identity every topology keeps:
+// each packet a source generated was submitted to its TCP sender by the end
+// of the run.
+func checkSubmitted(t *testing.T, name string, flows []FlowResult) {
+	t.Helper()
+	for _, f := range flows {
+		if f.Protocol.IsTCP() && f.Generated != f.Counters.Submitted {
+			t.Errorf("%s flow %d: generated %d != submitted %d",
+				name, f.Client, f.Generated, f.Counters.Submitted)
 		}
 	}
 }

@@ -44,10 +44,10 @@ type goldenCase struct {
 // goldenCases builds the digest matrix. shards > 1 runs every packet cell
 // partitioned over that many schedulers — the digests must still match the
 // serial table entry for entry, which is the tentpole determinism claim:
-// sharding changes wall-clock time and nothing else. The parking-lot case
-// runs serially and at 2 shards (its one inter-gateway cut caps the chain
-// shard plan at 2). Case names must be unique: computeGoldenDigests keys
-// its results by name, so a collision would silently pin only one run.
+// sharding changes wall-clock time and nothing else; the parking-lot case
+// replays the same way. Case names must be unique: computeGoldenDigests
+// keys its results by name, so a collision would silently pin only one
+// run.
 func goldenCases(t *testing.T, shards int) []goldenCase {
 	cells := append(PaperCells(),
 		Cell{Protocol: Sack, Gateway: FIFO},
@@ -91,21 +91,10 @@ func goldenCases(t *testing.T, shards int) []goldenCase {
 			})
 		}
 	}
-	if shards > 2 {
-		return cases
-	}
-	chainShards := shards
-	if chainShards == 1 {
-		chainShards = 0
-	}
 	cases = append(cases, goldenCase{
 		name: "parkinglot",
 		run: func() ([]byte, error) {
-			res, err := RunParkingLot(ChainConfig{
-				LongClients: 4, Hop1Clients: 3, Hop2Clients: 3,
-				Protocol: Reno, Gateway: FIFO, Duration: goldenDuration,
-				Shards: chainShards,
-			})
+			res, err := RunParkingLot(goldenChain(shards))
 			if err != nil {
 				return nil, err
 			}
@@ -126,6 +115,15 @@ func goldenCases(t *testing.T, shards int) []goldenCase {
 		},
 	})
 	return cases
+}
+
+// goldenChain is the parking-lot golden cell at the given shard count.
+func goldenChain(shards int) ChainConfig {
+	return ChainConfig{
+		LongClients: 4, Hop1Clients: 3, Hop2Clients: 3,
+		Protocol: Reno, Gateway: FIFO, Duration: goldenDuration,
+		Shards: shards,
+	}
 }
 
 // computeGoldenDigests runs every case on a worker pool and returns

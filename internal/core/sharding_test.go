@@ -8,34 +8,46 @@ import (
 )
 
 func TestPlanShardsPlacement(t *testing.T) {
-	cfg := DefaultConfig(10, Reno, FIFO)
-
-	p := planShards(cfg) // Shards unset: serial
-	if p.k != 1 || p.gw != 0 || p.srv != 0 {
-		t.Errorf("serial placement = %+v, want everything on shard 0", p)
+	// place builds the dumbbell at K shards and returns the gateway,
+	// server and client shards (node order: gateway, server, clients).
+	place := func(k int) (gw, srv int, client []int) {
+		t.Helper()
+		cfg := DefaultConfig(10, Reno, FIFO).WithDefaults()
+		cfg.Shards = k
+		g := dumbbell(cfg)
+		if _, err := build(cfg, g); err != nil {
+			t.Fatalf("build(K=%d): %v", k, err)
+		}
+		for _, nd := range g.nodes[2:] {
+			client = append(client, nd.shard)
+		}
+		return g.nodes[0].shard, g.nodes[1].shard, client
 	}
 
-	cfg.Shards = 2
-	p = planShards(cfg)
-	if p.gw != 0 || p.srv != 0 {
-		t.Errorf("K=2: gateway/server on %d/%d, want colocated on 0", p.gw, p.srv)
+	if gw, srv, client := place(0); gw != 0 || srv != 0 || client[9] != 0 {
+		t.Errorf("serial placement = %d/%d/%v, want everything on shard 0", gw, srv, client)
 	}
-	for i, s := range p.client {
+
+	gw, srv, client := place(2)
+	if gw != 0 || srv != 0 {
+		t.Errorf("K=2: gateway/server on %d/%d, want colocated on 0", gw, srv)
+	}
+	for i, s := range client {
 		if s != 1 {
 			t.Fatalf("K=2: client %d on shard %d, want 1", i, s)
 		}
 	}
 
-	cfg.Shards = 5
-	p = planShards(cfg)
-	if p.gw != 0 || p.srv != 1 {
-		t.Errorf("K=5: gateway/server on %d/%d, want 0/1", p.gw, p.srv)
+	const k = 5
+	gw, srv, client = place(k)
+	if gw != 0 || srv != 1 {
+		t.Errorf("K=5: gateway/server on %d/%d, want 0/1", gw, srv)
 	}
 	seen := make(map[int]int)
 	prev := 2
-	for i, s := range p.client {
-		if s < 2 || s >= p.k {
-			t.Fatalf("K=5: client %d on shard %d, outside client shards [2,%d)", i, s, p.k)
+	for i, s := range client {
+		if s < 2 || s >= k {
+			t.Fatalf("K=5: client %d on shard %d, outside client shards [2,%d)", i, s, k)
 		}
 		if s < prev {
 			t.Fatalf("K=5: client blocks not contiguous at client %d", i)
@@ -43,7 +55,7 @@ func TestPlanShardsPlacement(t *testing.T) {
 		prev = s
 		seen[s]++
 	}
-	for s := 2; s < p.k; s++ {
+	for s := 2; s < k; s++ {
 		if seen[s] == 0 {
 			t.Errorf("K=5: client shard %d owns no clients", s)
 		}

@@ -88,9 +88,8 @@ type probeEnv struct {
 	// queue.depth, gw.util, and the cov.rtt accumulator.
 	bottleneck *link.Link
 	flows      []*flow
-	// shard and clientShard decide which cwnd/ssthresh probes are local.
-	shard       int
-	clientShard []int
+	// shard decides which cwnd/ssthresh probes and sources are local.
+	shard int
 	// sink, when non-nil, overrides the configured sink — sharded runs
 	// sample into private per-shard rings and merge after the run.
 	sink telemetry.Sink
@@ -149,7 +148,7 @@ func (t *telem) start(cfg Config, env probeEnv) error {
 		if sender == nil {
 			continue // UDP clients have no window to publish
 		}
-		if env.clientShard[idx-1] == env.shard {
+		if env.flows[idx-1].shard == env.shard {
 			reg.Probe(fmt.Sprintf("cwnd.client%d", idx), sender.Cwnd)
 			reg.Probe(fmt.Sprintf("ssthresh.client%d", idx), sender.Ssthresh)
 		} else {
@@ -176,8 +175,8 @@ func (t *telem) start(cfg Config, env probeEnv) error {
 	// app.generated and sim.events must count the arrivals a dormant
 	// source holds back; catch up this shard's sources before each read.
 	var gens []traffic.Generator
-	for i, f := range env.flows {
-		if env.clientShard[i] == env.shard {
+	for _, f := range env.flows {
+		if f.shard == env.shard {
 			gens = append(gens, f.gen)
 		}
 	}
@@ -197,33 +196,31 @@ func (t *telem) start(cfg Config, env probeEnv) error {
 // configured sink directly; sharded runs stream each shard into a private
 // ring on the same virtual tick grid, merged into the configured sink by
 // finishTelemetry after the run. Returns the private rings (nil serial).
-func startTelemetry(cfg Config, env *buildEnv, bottleneck *link.Link, flows []*flow) ([]*telemetry.Ring, error) {
-	if env.group == nil {
-		return nil, env.tels[0].start(cfg, probeEnv{
-			sched:       env.scheds[0],
-			bottleneck:  bottleneck,
-			flows:       flows,
-			clientShard: env.place.client,
+func startTelemetry(cfg Config, net *network, bottleneck *link.Link) ([]*telemetry.Ring, error) {
+	if net.group == nil {
+		return nil, net.tels[0].start(cfg, probeEnv{
+			sched:      net.scheds[0],
+			bottleneck: bottleneck,
+			flows:      net.flows,
 		})
 	}
-	if !env.tels[0].enabled() {
+	if !net.tels[0].enabled() {
 		return nil, nil
 	}
 	capacity := int(cfg.Duration/cfg.TelemetryInterval) + 2
-	rings := make([]*telemetry.Ring, env.place.k)
+	rings := make([]*telemetry.Ring, len(net.scheds))
 	for s := range rings {
 		rings[s] = telemetry.NewRing(capacity)
 		pe := probeEnv{
-			sched:       env.scheds[s],
-			flows:       flows,
-			shard:       s,
-			clientShard: env.place.client,
-			sink:        rings[s],
+			sched: net.scheds[s],
+			flows: net.flows,
+			shard: s,
+			sink:  rings[s],
 		}
-		if s == env.place.gw {
+		if s == 0 { // the gateway shard
 			pe.bottleneck = bottleneck
 		}
-		if err := env.tels[s].start(cfg, pe); err != nil {
+		if err := net.tels[s].start(cfg, pe); err != nil {
 			return nil, err
 		}
 	}
@@ -238,14 +235,14 @@ func startTelemetry(cfg Config, env *buildEnv, bottleneck *link.Link, flows []*f
 // own sampler event per tick, so SimEvents (and the sim.events column)
 // count K sampler pops per interval instead of one — which is why the
 // byte-identity and golden tests pin sharded runs with telemetry off.
-func finishTelemetry(cfg Config, env *buildEnv, rings []*telemetry.Ring, res *Result) error {
-	if env.group == nil {
-		return env.tels[0].finish(res)
+func finishTelemetry(cfg Config, net *network, rings []*telemetry.Ring, res *Result) error {
+	if net.group == nil {
+		return net.tels[0].finish(res)
 	}
 	if rings == nil {
 		return nil
 	}
-	for _, t := range env.tels {
+	for _, t := range net.tels {
 		t.sampler.Sample()
 		if err := t.sampler.Close(); err != nil {
 			return fmt.Errorf("telemetry: %w", err)
@@ -253,8 +250,8 @@ func finishTelemetry(cfg Config, env *buildEnv, rings []*telemetry.Ring, res *Re
 	}
 	n := rings[0].Len()
 	for s, r := range rings {
-		if uint64(r.Len()) != env.tels[s].sampler.Records() {
-			return fmt.Errorf("telemetry: shard %d ring overflowed (%d rows kept of %d)", s, r.Len(), env.tels[s].sampler.Records())
+		if uint64(r.Len()) != net.tels[s].sampler.Records() {
+			return fmt.Errorf("telemetry: shard %d ring overflowed (%d rows kept of %d)", s, r.Len(), net.tels[s].sampler.Records())
 		}
 		if r.Len() != n {
 			return fmt.Errorf("telemetry: shard %d recorded %d rows, shard 0 %d", s, r.Len(), n)
@@ -294,8 +291,8 @@ func finishTelemetry(cfg Config, env *buildEnv, rings []*telemetry.Ring, res *Re
 		return fmt.Errorf("telemetry: %w", err)
 	}
 
-	merged := env.tels[0].reg.Export()
-	for _, t := range env.tels[1:] {
+	merged := net.tels[0].reg.Export()
+	for _, t := range net.tels[1:] {
 		e := t.reg.Export()
 		for k, v := range e.Counters {
 			merged.Counters[k] += v

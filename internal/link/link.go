@@ -478,6 +478,10 @@ func (l *Link) FinishVirtual(horizon sim.Time) uint64 {
 	return n
 }
 
+// Pipelined reports whether the link runs the serialization pipeline
+// (see Config.Overprovisioned).
+func (l *Link) Pipelined() bool { return l.virtual }
+
 // DeliverFn exposes the link's prebound delivery trampoline (it calls
 // Dst.Receive on its argument). The sharded harness injects it into the
 // destination shard's scheduler for cross-shard deliveries; it reads only
