@@ -22,6 +22,7 @@ package tcpburst
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -30,7 +31,6 @@ import (
 	"tcpburst/internal/queue"
 	"tcpburst/internal/sim"
 	"tcpburst/internal/stats"
-	"tcpburst/internal/tcp"
 )
 
 // benchDuration trades fidelity for wall-clock time; the cmd/burstsweep and
@@ -398,32 +398,27 @@ func benchSweep(b *testing.B, jobs int) {
 func BenchmarkSweepSerial(b *testing.B)   { benchSweep(b, 1) }
 func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
 
-// nullWire discards packets; it exists so state-accounting probes can
-// construct transport endpoints without a topology.
-type nullWire struct{}
-
-func (nullWire) Send(*packet.Packet) {}
-
-// stateBytesPerFlow reports the steady-state memory footprint of one
-// flow's transport endpoints (sender + sink) under the experiment's
-// advertised window — the per-flow cost that bounds large-N scaling.
+// stateBytesPerFlow reports the heap bytes one flow costs: how much more a
+// 1 ns-horizon core.Run allocates at 2N flows than at N, divided by N. Such
+// a run builds the whole topology and simulates almost nothing, so
+// everything a flow owns counts: its TCP sender and sink, traffic source,
+// access links and RNG stream.
 func stateBytesPerFlow(b *testing.B, cfg core.Config) float64 {
 	b.Helper()
-	tc := tcp.Config{
-		Variant:   tcp.Reno,
-		MaxWindow: cfg.MaxWindow,
-		Out:       nullWire{},
-		Sched:     sim.NewScheduler(),
+	cfg.Duration = time.Nanosecond
+	allocated := func(clients int) uint64 {
+		c := cfg
+		c.Clients = clients
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := core.Run(c); err != nil {
+			b.Fatalf("build probe at N=%d: %v", clients, err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	snd, err := tcp.NewSender(tc)
-	if err != nil {
-		b.Fatalf("NewSender: %v", err)
-	}
-	snk, err := tcp.NewSink(tc)
-	if err != nil {
-		b.Fatalf("NewSink: %v", err)
-	}
-	return float64(snd.StateBytes() + snk.StateBytes())
+	n := cfg.Clients
+	return (float64(allocated(2*n)) - float64(allocated(n))) / float64(n)
 }
 
 // BenchmarkScalingClients is an arrival-dominated overload tier, not a
@@ -434,9 +429,9 @@ func stateBytesPerFlow(b *testing.B, cfg core.Config) float64 {
 // near capacity while arrivals grow with N, so sim_pkts/s (transmissions
 // per wall second) falls as N grows; it tracks the cost of generating and
 // buffering arrivals that only grow sender backlogs, which lazy arrival
-// processes elide. state_bytes/flow reports the dense transport state
-// (sender + sink) only. BenchmarkShardedScaling is the fixed-load (0.9x)
-// scaling tier.
+// processes elide. state_bytes/flow reports the heap bytes allocated per
+// flow, measured as the growth of a build-only run from N to 2N flows.
+// BenchmarkShardedScaling is the fixed-load (0.9x) scaling tier.
 func BenchmarkScalingClients(b *testing.B) {
 	for _, n := range []int{100, 500, 2000, 5000} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {

@@ -26,11 +26,6 @@ type Config struct {
 	// one sanctioned concurrency site; simulations are single-threaded by
 	// contract).
 	GoroutinePackages []string
-	// RandImportFiles are file-path suffixes allowed to import math/rand —
-	// the seeded sim RNG wrapper only. Global math/rand functions (the
-	// process-wide source) are forbidden even here; only rand.New over an
-	// explicit seed is legitimate.
-	RandImportFiles []string
 	// FloatPackages hold measurement code where == / != on floats is
 	// forbidden (comparisons against exact sentinels are waived per-site
 	// with //burst:floateq-ok).
@@ -116,7 +111,6 @@ var Default = Config{
 		"tcpburst/internal/runner",
 		"tcpburst/internal/shard",
 	},
-	RandImportFiles: []string{"internal/sim/rng.go"},
 	FloatPackages: []string{
 		"tcpburst/internal/stats",
 		"tcpburst/internal/core",
@@ -173,17 +167,6 @@ func (c Config) WallClockAllowed(path string) bool { return contains(c.WallClock
 
 // GoroutineAllowed reports whether path may launch goroutines.
 func (c Config) GoroutineAllowed(path string) bool { return contains(c.GoroutinePackages, path) }
-
-// RandImportAllowed reports whether the file at filename may import
-// math/rand.
-func (c Config) RandImportAllowed(filename string) bool {
-	for _, suffix := range c.RandImportFiles {
-		if strings.HasSuffix(filename, suffix) {
-			return true
-		}
-	}
-	return false
-}
 
 // FloatPackage reports whether path is measurement code under floateq.
 func (c Config) FloatPackage(path string) bool { return contains(c.FloatPackages, path) }

@@ -7,8 +7,10 @@
 //
 //   - wall-clock reads (time.Now, Since, Until, Sleep, timers) outside the
 //     internal/clock seam;
-//   - global math/rand functions (the process-wide source) everywhere, and
-//     the math/rand import itself outside the seeded sim RNG wrapper;
+//   - importing math/rand or math/rand/v2, and calling their global
+//     functions (the process-wide source): sim.RNG owns its generator, so
+//     no deterministic file needs either package (test files are not
+//     checked);
 //   - goroutine launches outside the parallel runner — simulations are
 //     single-threaded by contract;
 //   - map iteration whose body has order-dependent effects (calls, writes
@@ -56,10 +58,9 @@ func run(pass *analysis.Pass) (any, error) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {
-		filename := pass.Fset.Position(f.Pos()).Filename
 		for _, imp := range f.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
-			if (p == "math/rand" || p == "math/rand/v2") && !cfg.RandImportAllowed(filename) {
+			if p == "math/rand" || p == "math/rand/v2" {
 				pass.Reportf(imp.Pos(),
 					"deterministic package %s imports %s; all randomness must flow through the seeded sim.RNG", path, p)
 			}

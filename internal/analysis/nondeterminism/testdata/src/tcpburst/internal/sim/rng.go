@@ -1,11 +1,13 @@
 package sim
 
-import "math/rand" // the sanctioned importer file (Config.RandImportFiles)
+import "math/rand" // want `deterministic package tcpburst/internal/sim imports math/rand`
 
-// RNG wraps an explicitly seeded source, mirroring the real sim RNG.
+// RNG wraps an explicitly seeded math/rand source. The import alone is a
+// finding: the real sim RNG owns its generator and imports no math/rand.
 type RNG struct{ r *rand.Rand }
 
-// NewRNG builds a stream from a seed; seeded constructors are allowed.
+// NewRNG builds a stream from a seed; seeded constructors are not global
+// draws.
 func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }

@@ -148,51 +148,3 @@ func TestUniformRange(t *testing.T) {
 		}
 	}
 }
-
-func TestNormalMoments(t *testing.T) {
-	g := NewRNG(17)
-	const mean, sd = 5.0, 2.0
-	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		x := g.Normal(mean, sd)
-		sum += x
-		sumSq += x * x
-	}
-	m := sum / n
-	v := sumSq/n - m*m
-	if math.Abs(m-mean) > 0.05 {
-		t.Errorf("Normal mean = %v, want ~%v", m, mean)
-	}
-	if math.Abs(math.Sqrt(v)-sd) > 0.05 {
-		t.Errorf("Normal stddev = %v, want ~%v", math.Sqrt(v), sd)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	g := NewRNG(21)
-	p := g.Perm(50)
-	seen := make(map[int]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("invalid permutation %v", p)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 50 {
-		t.Fatalf("permutation has %d distinct values, want 50", len(seen))
-	}
-}
-
-func TestIntn(t *testing.T) {
-	g := NewRNG(2)
-	counts := make([]int, 5)
-	for i := 0; i < 5000; i++ {
-		counts[g.Intn(5)]++
-	}
-	for i, c := range counts {
-		if c < 800 || c > 1200 {
-			t.Errorf("Intn bucket %d count %d, want ~1000", i, c)
-		}
-	}
-}
